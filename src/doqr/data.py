@@ -15,7 +15,7 @@ import numpy as np
 
 
 class CsvFormatError(ValueError):
-    """Malformed CSV input (ragged rows, non-numeric cells, empty file)."""
+    """Malformed CSV input (ragged rows, non-numeric or non-finite cells, empty file)."""
 
 
 class SingularMatrixError(ValueError):
@@ -160,10 +160,12 @@ def load_csv(path, has_header: bool = False) -> Dataset:
             try:
                 parsed.append(float(cell))
             except ValueError:
+                parsed.append(np.nan)
+            if not np.isfinite(parsed[-1]):
                 raise CsvFormatError(
-                    f"{path}: non-numeric cell at row {lineno + 1}, column {col}: "
-                    f"{cell!r}"
-                ) from None
+                    f"{path}: non-numeric or non-finite cell at row {lineno + 1}, "
+                    f"column {col}: {cell!r}"
+                )
         rows.append(parsed)
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")

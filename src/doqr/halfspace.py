@@ -1,5 +1,5 @@
-"""Halfspace (Tukey) depth: exact 1-D/2-D evaluation, a brute-force oracle,
-direction-sampled approximation for any dimension, and deepest-point search.
+"""Halfspace (Tukey) depth: exact 1-D/2-D evaluation, direction-sampled
+approximation for any dimension, and deepest-point search.
 
 Conventions, fixed across the module:
 
@@ -59,6 +59,10 @@ class DepthConfig:
         if not isinstance(self.seed, SeedSpec):
             raise TypeError("seed must be a SeedSpec")
 
+    def directions(self, d: int) -> np.ndarray:
+        """The (n_directions, d) unit directions, from substream 0 of the seed."""
+        return unit_directions(self.seed.generator(0), self.n_directions, d)
+
 
 def unit_directions(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
     """Draw k unit vectors in R^d, uniform on the sphere (normalized Gaussians).
@@ -74,6 +78,32 @@ def unit_directions(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
         v[bad, 0] = 1.0
         norms[bad] = 1.0
     return v / norms[:, None]
+
+
+def project(points: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(m, k) projections of m points on k directions, summed coordinate by
+    coordinate rather than by matmul, so that a row's rounding does not depend
+    on the other rows: a point projects bit-identically alone and in a sample.
+    """
+    acc = np.multiply.outer(points[:, 0], u[:, 0])
+    for k in range(1, points.shape[1]):
+        acc += np.multiply.outer(points[:, k], u[:, k])
+    return acc
+
+
+def approx_counts(data: np.ndarray, queries: np.ndarray, cfg: DepthConfig) -> np.ndarray:
+    """Per query, the min over the config's directions of the smaller closed
+    tail count.  A sample point counts in both its own tails, so at least 1."""
+    u = cfg.directions(data.shape[1])
+    proj = project(data, u)  # (n, k)
+    out = np.empty(queries.shape[0], dtype=np.int64)
+    chunk = max(1, _CHUNK_BUDGET // proj.size)
+    for s in range(0, queries.shape[0], chunk):
+        t = project(queries[s : s + chunk], u)[:, None, :]
+        le = np.count_nonzero(proj <= t, axis=1)
+        ge = np.count_nonzero(proj >= t, axis=1)
+        out[s : s + chunk] = np.minimum(le, ge).min(axis=1)
+    return out
 
 
 def _require_dim(ds: Dataset, d: int, op: str) -> None:
@@ -145,51 +175,6 @@ def depth_2d_exact(ds: Dataset, x) -> float:
     return int(_min_halfplane_counts(ds.data, x[None, :])[0]) / ds.n
 
 
-def _perp(v: np.ndarray) -> np.ndarray:
-    return np.stack([-v[:, 1], v[:, 0]], axis=1)
-
-
-def depth_bruteforce(ds: Dataset, x, max_points: int = 30) -> float:
-    """Depth by exhaustive direction enumeration; testing oracle for small n.
-
-    Evaluates the closed-halfplane count over: both normals of every line
-    through the query and a data point, the point-to-query directions
-    themselves, the bisectors of every pair of those normals (the count is
-    constant between consecutive normal directions, so bisectors of adjacent
-    pairs realize every attainable count), and a 3600-angle fallback grid.
-    Near-parallel normal pairs (below the shared angular resolution) are
-    skipped, and counting includes a small inclusive tolerance, so that
-    points lying on a halfplane boundary are never dropped by rounding.
-    """
-    if ds.d not in (1, 2):
-        raise ValueError("depth_bruteforce supports d in {1, 2}")
-    if ds.n > max_points:
-        raise ValueError(f"depth_bruteforce limited to n <= {max_points} points")
-    if ds.d == 1:
-        return depth_1d(ds, float(np.asarray(x).reshape(())))
-    x = as_point(x, 2)
-    w = ds.data - x
-    nz = (w[:, 0] != 0.0) | (w[:, 1] != 0.0)
-    m0 = int(ds.n - np.count_nonzero(nz))
-    w = w[nz]
-    if w.shape[0] == 0:
-        return 1.0
-    v = w / np.linalg.norm(w, axis=1)[:, None]
-    p = _perp(v)
-    events = np.concatenate([p, -p], axis=0)
-    iu, ju = np.triu_indices(events.shape[0], k=1)
-    cross = events[iu, 0] * events[ju, 1] - events[iu, 1] * events[ju, 0]
-    keep = np.abs(cross) > _GAP_EPS
-    sums = events[iu[keep]] + events[ju[keep]]
-    bisectors = sums / np.linalg.norm(sums, axis=1)[:, None]
-    grid_ang = _TWO_PI * np.arange(3600) / 3600.0
-    grid = np.stack([np.cos(grid_ang), np.sin(grid_ang)], axis=1)
-    dirs = np.concatenate([v, -v, p, -p, bisectors, grid], axis=0)
-    tol = 1e-12 * np.linalg.norm(w, axis=1)
-    counts = (dirs @ w.T >= -tol[None, :]).sum(axis=1)
-    return (m0 + int(counts.min())) / ds.n
-
-
 def depth_approx(ds: Dataset, x, cfg: DepthConfig) -> float:
     """Approximate depth from above: min 1-D depth over sampled directions.
 
@@ -197,13 +182,7 @@ def depth_approx(ds: Dataset, x, cfg: DepthConfig) -> float:
     config's seed, so results are reproducible and nested in the budget.
     """
     x = as_point(x, ds.d)
-    rng = cfg.seed.generator(0)
-    u = unit_directions(rng, cfg.n_directions, ds.d)
-    proj = ds.data @ u.T  # (n, k)
-    t = u @ x
-    le = (proj <= t).sum(axis=0)
-    ge = (proj >= t).sum(axis=0)
-    return int(np.minimum(le, ge).min()) / ds.n
+    return int(approx_counts(ds.data, x[None, :], cfg)[0]) / ds.n
 
 
 def _line_intersections(pts: np.ndarray) -> np.ndarray:

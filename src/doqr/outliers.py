@@ -26,9 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, SeedSpec
-from .halfspace import DepthConfig, depth_approx, sample_depths, unit_directions
+from .halfspace import DepthConfig, approx_counts, sample_depths
 from .normal import chi2_quantile, oh_threshold
-from .projection import DegenerateDirectionsError, _po_profile
+from .projection import po_profile
 
 METHODS = ("halfspace", "projection")
 
@@ -104,22 +104,13 @@ def identify(
     threshold = float(threshold)
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
-    if method == "halfspace":
-        if ds.d == 2:
-            depths = sample_depths(ds)
-        else:
-            depths = np.array([depth_approx(ds, x, cfg) for x in ds.data])
-        flagged = np.nonzero(1.0 - 2.0 * depths > threshold)[0]
+    if method == "projection":
+        scores = po_profile(ds.data, ds.data, cfg)
+    elif ds.d == 2:
+        scores = 1.0 - 2.0 * sample_depths(ds)
     else:
-        rng = cfg.seed.generator(0)
-        u = unit_directions(rng, cfg.n_directions, ds.d)
-        vals, n_skipped = _po_profile(ds.data, ds.data, u)
-        if np.any(np.isnan(vals)):
-            raise DegenerateDirectionsError(
-                f"all {n_skipped} sampled directions have zero MAD"
-            )
-        flagged = np.nonzero(vals > threshold)[0]
-    return tuple(int(i) for i in flagged)
+        scores = 1.0 - 2.0 * (approx_counts(ds.data, ds.data, cfg) / ds.n)
+    return tuple(int(i) for i in np.nonzero(scores > threshold)[0])
 
 
 @dataclass(frozen=True)
@@ -220,16 +211,9 @@ def projection_cutoff(spec: ContaminationSpec, fpr: float, cfg: DepthConfig) -> 
     order statistic at rank ceil((1 - fpr) * m) is returned.
     """
     m = 10 * spec.n_clean
-    rng = spec.seed.generator(1, 0)
-    cal = rng.standard_normal((m, spec.d))
-    u = unit_directions(cfg.seed.generator(0), cfg.n_directions, spec.d)
-    vals, n_skipped = _po_profile(cal, cal, u)
-    if np.any(np.isnan(vals)):
-        raise DegenerateDirectionsError(
-            f"all {n_skipped} sampled directions have zero MAD"
-        )
+    cal = spec.seed.generator(1, 0).standard_normal((m, spec.d))
     k = max(1, math.ceil((1.0 - fpr) * m))
-    return float(np.sort(vals)[k - 1])
+    return float(np.sort(po_profile(cal, cal, cfg))[k - 1])
 
 
 def masking_experiment(

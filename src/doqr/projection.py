@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .data import Dataset, as_point
-from .halfspace import DepthConfig, unit_directions
+from .halfspace import DepthConfig, project
 
 
 class DegenerateScaleWarning(UserWarning):
@@ -25,20 +25,24 @@ class DegenerateDirectionsError(ValueError):
     """Every sampled direction had zero MAD; no outlyingness is defined."""
 
 
-def _median_sorted(v: np.ndarray) -> float:
-    # v sorted ascending; average of the two central order statistics
+def _median_sorted(v: np.ndarray):
+    # v sorted ascending along axis 0; average of the two central order
+    # statistics, per column when v is 2-D
     n = v.shape[0]
     i = (n + 1) // 2 - 1  # ceil(n/2), 0-based
     j = n // 2  # floor(n/2) + 1, 0-based
-    return 0.5 * (float(v[i]) + float(v[j]))
+    return 0.5 * (v[i] + v[j])
 
 
-def median_mad(values: np.ndarray) -> tuple[float, float]:
-    """Median and unscaled MAD of a 1-D array, midpoint-average convention."""
-    v = np.sort(np.asarray(values, dtype=float))
+def median_mad(values: np.ndarray):
+    """Median and unscaled MAD along axis 0 (per column of an (n, k) array),
+    midpoint-average convention."""
+    v = np.sort(np.asarray(values, dtype=float), axis=0)
     med = _median_sorted(v)
-    mad = _median_sorted(np.sort(np.abs(v - med)))
-    return med, mad
+    v -= med  # in place: the sorted deviations need no further copies
+    np.abs(v, out=v)
+    v.sort(axis=0)
+    return med, _median_sorted(v)
 
 
 def po_1d(ds: Dataset, x: float) -> float:
@@ -63,29 +67,23 @@ def po_1d(ds: Dataset, x: float) -> float:
     return dev / mad
 
 
-def _po_profile(
-    data: np.ndarray, queries: np.ndarray, directions: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """Max scaled deviation over directions for each query.
+def po_profile(data: np.ndarray, queries: np.ndarray, cfg: DepthConfig) -> np.ndarray:
+    """Max scaled deviation |u.x - med| / MAD over the config's directions,
+    per query.
 
-    Directions with zero projected MAD are skipped; returns the per-query
-    maxima and the number of skipped directions.
+    Directions with zero projected MAD are skipped; DegenerateDirectionsError
+    is raised when every direction has zero MAD.
     """
-    proj = data @ directions.T  # (n, k)
-    ps = np.sort(proj, axis=0)
-    n = ps.shape[0]
-    i = (n + 1) // 2 - 1
-    j = n // 2
-    med = 0.5 * (ps[i] + ps[j])
-    dev = np.sort(np.abs(proj - med), axis=0)
-    mad = 0.5 * (dev[i] + dev[j])
+    u = cfg.directions(data.shape[1])
+    med, mad = median_mad(project(data, u))
     good = mad > 0.0
-    n_skipped = int(np.count_nonzero(~good))
     if not np.any(good):
-        return np.full(queries.shape[0], np.nan), n_skipped
-    qproj = queries @ directions[good].T  # (m, k_good)
-    ratios = np.abs(qproj - med[good]) / mad[good]
-    return ratios.max(axis=1), n_skipped
+        raise DegenerateDirectionsError(f"all {u.shape[0]} sampled directions have zero MAD")
+    ratios = project(queries, u[good])  # (m, k_good), scaled deviations in place
+    ratios -= med[good]
+    np.abs(ratios, out=ratios)
+    ratios /= mad[good]
+    return ratios.max(axis=1)
 
 
 def po_approx(ds: Dataset, x, cfg: DepthConfig) -> float:
@@ -95,15 +93,7 @@ def po_approx(ds: Dataset, x, cfg: DepthConfig) -> float:
     ``depth_approx``), so values are deterministic and nondecreasing when the
     budget grows along a fixed stream.
     """
-    x = as_point(x, ds.d)
-    rng = cfg.seed.generator(0)
-    u = unit_directions(rng, cfg.n_directions, ds.d)
-    vals, n_skipped = _po_profile(ds.data, x[None, :], u)
-    if np.isnan(vals[0]):
-        raise DegenerateDirectionsError(
-            f"all {n_skipped} sampled directions have zero MAD"
-        )
-    return float(vals[0])
+    return float(po_profile(ds.data, as_point(x, ds.d)[None, :], cfg)[0])
 
 
 def projection_depth(ds: Dataset, x, cfg: DepthConfig) -> float:

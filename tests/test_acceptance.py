@@ -20,7 +20,6 @@ from doqr import (
     compare_identifiers,
     default_masking_grid,
     depth_2d_exact,
-    depth_bruteforce,
     hd_normal,
     masking_experiment,
     oh_cdf,
@@ -34,6 +33,7 @@ from doqr import (
     trimmed_mean,
 )
 from doqr.cli import main as cli_main
+from oracles import depth_bruteforce
 
 
 @contextmanager

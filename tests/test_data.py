@@ -43,6 +43,19 @@ def test_load_csv_non_numeric_reports_location(tmp_path):
         load_csv(p)
 
 
+def test_load_csv_non_finite_reports_location(tmp_path):
+    p = tmp_path / "a.csv"
+    for text, where in (
+        ("1,2\nnan,4\n", "row 2, column 1"),
+        ("1,inf\n3,4\n", "row 1, column 2"),
+        ("1,2\n3,-Infinity\n", "row 2, column 2"),
+        ("1e999,2\n", "row 1, column 1"),  # overflows to inf
+    ):
+        p.write_text(text)
+        with pytest.raises(CsvFormatError, match=where):
+            load_csv(p)
+
+
 def test_load_csv_empty(tmp_path):
     p = tmp_path / "a.csv"
     p.write_text("")

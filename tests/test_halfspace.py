@@ -9,12 +9,12 @@ from doqr import (
     depth_1d,
     depth_2d_exact,
     depth_approx,
-    depth_bruteforce,
     max_depth,
     sample_depths,
     tukey_median,
     unit_directions,
 )
+from oracles import depth_bruteforce
 
 AXES4 = Dataset([[1, 0], [-1, 0], [0, 1], [0, -1]])
 
@@ -124,6 +124,15 @@ def test_depth_approx_upper_bound_and_nested_monotone():
         vals = [depth_approx(ds, x, DepthConfig(k, seed)) for k in budgets]
         assert all(v >= exact for v in vals)
         assert all(b <= a for a, b in zip(vals, vals[1:]))
+
+
+def test_depth_approx_counts_sample_point_itself():
+    # a sample point lies in both closed tails of its own projection, so its
+    # sampled-direction depth is at least 1/n, like its exact depth
+    cfg = DepthConfig()
+    for d in (2, 3, 5):
+        ds = Dataset(np.random.default_rng(d).standard_normal((100, d)))
+        assert min(depth_approx(ds, x, cfg) for x in ds.data) >= 1 / ds.n
 
 
 def test_depth_approx_single_direction_case():

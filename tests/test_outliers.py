@@ -11,6 +11,7 @@ from doqr import (
     compare_identifiers,
     comparison_to_csv,
     default_masking_grid,
+    depth_approx,
     identify,
     masking_experiment,
     oh_threshold,
@@ -102,6 +103,16 @@ def test_identify_halfspace_population_threshold_saturates():
     # projection flags it even at n = 200
     cutoff = projection_cutoff(spec, 0.01, CFG)
     assert truth[0] in identify(ds, "projection", cutoff, CFG)
+    # the sampled-direction depth used at d = 3 and d = 5 saturates the same way
+    for d in (3, 5):
+        spec_d = ContaminationSpec(
+            n_clean=100, d=d, n_outliers=1, outlier_center=(10.0,) + (0.0,) * (d - 1),
+            outlier_spread=0.0, seed=SeedSpec(3),
+        )
+        ds_d, _ = sample_contaminated(spec_d)
+        lam_d = oh_threshold(0.01, d)
+        assert 1 - 2 / ds_d.n < lam_d
+        assert identify(ds_d, "halfspace", lam_d, CFG) == ()
 
 
 def test_identify_d3_uses_approx_depth():
@@ -112,6 +123,21 @@ def test_identify_d3_uses_approx_depth():
     ds, truth = sample_contaminated(spec)
     flagged = identify(ds, "halfspace", 1 - 2.5 / ds.n, CFG)
     assert truth[0] in flagged
+
+
+def test_identify_halfspace_d3_matches_pointwise_depth_approx():
+    spec = ContaminationSpec(
+        n_clean=100, d=3, n_outliers=3, outlier_center=(4.0, 0.0, 0.0),
+        outlier_spread=0.1, seed=SeedSpec(8),
+    )
+    ds, _ = sample_contaminated(spec)
+    depths = np.array([depth_approx(ds, x, CFG) for x in ds.data])
+    lam = oh_threshold(0.01, 3)
+    for threshold in (0.0, 0.5, 0.9, lam):
+        want = tuple(int(i) for i in np.nonzero(1 - 2 * depths > threshold)[0])
+        assert identify(ds, "halfspace", threshold, CFG) == want
+    assert want == ()  # saturated: 1 - 2/n < lam
+    assert len(identify(ds, "halfspace", 0.9, CFG)) > 0
 
 
 def test_masking_experiment_no_contamination():
