@@ -41,9 +41,17 @@ _CHUNK_BUDGET = 800_000  # floats per work chunk in the batch kernel
 # ideal-configuration count while leaving genuine configurations (angle gaps
 # >= ~1e-8 rad even at n = 20000 random points) untouched.
 _GAP_EPS = 1e-9
+# Margin of the median bound's tail counts, relative to the largest coordinate
+# magnitude M.  Projections err by ~1e-15 M, so a point the bound leaves out
+# lies >= 1e-7 M / |x - c| >= 3.5e-8 rad (|x - c| <= 2*sqrt(2) M) inside an
+# open halfplane: all such points fit in one sweep semicircle (pi - _GAP_EPS).
+_BOUND_TOL = 1e-7
 
 _ENUM_LIMIT = 60      # up to this n the deepest point is found by enumeration
 _SEARCH_SEED = 710517  # fixed seed for the multi-start search fallback
+_BOUND_SEEDS = 64     # candidates nearest the coordinatewise median swept first
+# the median bound's 32 evenly spaced directions, bit-reversed: each far from those before
+_BOUND_DIRS = np.exp(1j * np.pi * np.array([int(f"{i:05b}"[::-1], 2) for i in range(32)]) / 32)
 
 
 @dataclass(frozen=True)
@@ -211,19 +219,43 @@ def _tie_break_best(cands: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, 
     return cands[best].copy(), int(counts[best])
 
 
-def _enumeration_candidates(pts: np.ndarray) -> np.ndarray:
-    n = pts.shape[0]
-    ia, ib = np.triu_indices(n, k=1)
-    mids = 0.5 * (pts[ia] + pts[ib])
-    inter = _line_intersections(pts)
-    cands = np.concatenate([pts, mids, inter], axis=0)
-    # the deepest point lies in the convex hull, hence in the bounding box
-    lo = pts.min(axis=0) - 1e-12
-    hi = pts.max(axis=0) + 1e-12
-    keep = np.all((cands >= lo) & (cands <= hi), axis=1)
-    cands = cands[keep]
-    cands = cands[np.all(np.isfinite(cands), axis=1)]
-    return np.unique(cands, axis=0)
+def _tail_bound(pts: np.ndarray, cands: np.ndarray, u: complex) -> np.ndarray:
+    """Bounds of the swept counts: smaller closed tail counts along u = e^(i theta)."""
+    tol = _BOUND_TOL * np.abs(pts).max()
+    s = np.sort(pts[:, 0] * u.real + pts[:, 1] * u.imag)
+    p = cands[:, 0] * u.real + cands[:, 1] * u.imag
+    le = np.searchsorted(s, p + tol, side="right")
+    ge = pts.shape[0] - np.searchsorted(s, p - tol, side="left")
+    return np.minimum(le, ge)
+
+
+def _enumerated_median(pts: np.ndarray) -> tuple[np.ndarray, int]:
+    """Branch and bound: sweep the candidates nearest the coordinatewise
+    median, prune by projection bounds, sweep the highest-bound survivors,
+    then the rest that can still tie.  Same result as sweeping them all."""
+    ia, ib = np.triu_indices(pts.shape[0], k=1)
+    cands = np.concatenate([pts, 0.5 * (pts[ia] + pts[ib]), _line_intersections(pts)])
+    # the deepest point lies in the convex hull, hence in the (finite) bounding box
+    lo, hi = pts.min(axis=0) - 1e-12, pts.max(axis=0) + 1e-12
+    cands = cands[np.all((cands >= lo) & (cands <= hi), axis=1)]
+    near = ((cands - np.median(pts, axis=0)) ** 2).sum(axis=1)
+    k = min(_BOUND_SEEDS, near.size) - 1
+    best = _min_halfplane_counts(pts, cands[near.argpartition(k)[: k + 1]]).max()
+    live, ub = cands, np.full(cands.shape[0], pts.shape[0])
+    for u in _BOUND_DIRS:
+        ub = np.minimum(ub, _tail_bound(pts, live, u))
+        live, ub = live[ub >= best], ub[ub >= best]
+    top = ub == ub.max()
+    counts = _min_halfplane_counts(pts, live[top])
+    rest = live[~top][ub[~top] >= counts.max()]
+    live = np.concatenate([live[top], rest])
+    counts = np.concatenate([counts, _min_halfplane_counts(pts, rest)])
+    best_pt, best_cnt = _tie_break_best(live, counts)
+    # +0.0 and -0.0 copies of the winner tie; keep the copy np.unique keeps
+    if np.any(np.signbit(live[np.all(live == best_pt, axis=1)]) != np.signbit(best_pt)):
+        uniq = np.unique(cands, axis=0)
+        best_pt = uniq[np.all(uniq == best_pt, axis=1)][0]
+    return best_pt, best_cnt
 
 
 _SEARCH_OFFSETS = np.array(
@@ -278,25 +310,23 @@ def _search_pool(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=64)
 def _tukey_median_cached(ds: Dataset) -> tuple[tuple[float, float], int]:
-    pts = ds.data
     if ds.n <= _ENUM_LIMIT:
-        cands = _enumeration_candidates(pts)
-        counts = _min_halfplane_counts(pts, cands)
+        best_pt, best_cnt = _enumerated_median(ds.data)
     else:
-        cands, counts = _search_pool(pts)
-    best_pt, best_cnt = _tie_break_best(cands, counts)
+        best_pt, best_cnt = _tie_break_best(*_search_pool(ds.data))
     return (float(best_pt[0]), float(best_pt[1])), best_cnt
 
 
 def tukey_median(ds: Dataset) -> tuple[np.ndarray, float]:
-    """A maximizer of exact 2-D depth, with its depth.
+    """A deepest point of the 2-D sample, with its depth; exact for n <= 60.
 
-    For n <= 60 the candidate set (data points, pairwise midpoints, and all
-    intersection points of lines through data pairs) is enumerated; depth is
-    piecewise constant on that line arrangement, so the enumeration is exact.
-    Beyond that a deterministic seeded multi-start pattern search on a
-    shrinking grid is used.  Ties break toward the smallest Euclidean norm,
-    then lexicographic coordinates.
+    For n <= 60 the candidates are the line-arrangement vertices (data points,
+    pairwise midpoints, intersections of lines through data pairs), on which
+    depth is piecewise constant; every candidate that can reach the maximal
+    count is swept exactly.  Beyond that a deterministic seeded multi-start
+    pattern search on a shrinking grid is used, and the point it returns may
+    not be deepest.  Ties break toward the smallest Euclidean norm, then
+    lexicographic coordinates.
     """
     _require_dim(ds, 2, "tukey_median")
     (px, py), cnt = _tukey_median_cached(ds)

@@ -6,7 +6,12 @@ import numpy as np
 
 from doqr import Dataset, depth_1d
 from doqr.data import as_point
-from doqr.halfspace import _GAP_EPS
+from doqr.halfspace import (
+    _GAP_EPS,
+    _line_intersections,
+    _min_halfplane_counts,
+    _tie_break_best,
+)
 
 
 def _perp(v: np.ndarray) -> np.ndarray:
@@ -52,3 +57,29 @@ def depth_bruteforce(ds: Dataset, x, max_points: int = 30) -> float:
     tol = 1e-12 * np.linalg.norm(w, axis=1)
     counts = (dirs @ w.T >= -tol[None, :]).sum(axis=1)
     return (m0 + int(counts.min())) / ds.n
+
+
+def enumeration_counts(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every arrangement candidate of the median enumeration, deduplicated,
+    with its exact count: data points, pairwise midpoints and intersections
+    of lines through data pairs, inside the bounding box."""
+    n = pts.shape[0]
+    ia, ib = np.triu_indices(n, k=1)
+    mids = 0.5 * (pts[ia] + pts[ib])
+    inter = _line_intersections(pts)
+    cands = np.concatenate([pts, mids, inter], axis=0)
+    # the deepest point lies in the convex hull, hence in the bounding box
+    lo = pts.min(axis=0) - 1e-12
+    hi = pts.max(axis=0) + 1e-12
+    keep = np.all((cands >= lo) & (cands <= hi), axis=1)
+    cands = cands[keep]
+    cands = cands[np.all(np.isfinite(cands), axis=1)]
+    cands = np.unique(cands, axis=0)
+    return cands, _min_halfplane_counts(pts, cands)
+
+
+def tukey_median_enumerated(pts: np.ndarray) -> tuple[np.ndarray, int]:
+    """Deepest point and its count by sweeping every arrangement candidate,
+    then the library's tie-break: the enumeration ``tukey_median`` ran before
+    it bounded the candidates."""
+    return _tie_break_best(*enumeration_counts(pts))

@@ -14,7 +14,8 @@ from doqr import (
     tukey_median,
     unit_directions,
 )
-from oracles import depth_bruteforce
+from doqr.halfspace import _BOUND_DIRS, _min_halfplane_counts, _tail_bound, _tie_break_best
+from oracles import depth_bruteforce, enumeration_counts
 
 AXES4 = Dataset([[1, 0], [-1, 0], [0, 1], [0, -1]])
 
@@ -213,6 +214,84 @@ def test_tukey_median_search_branch():
     assert np.array_equal(m1, m2) and d1 == d2
     assert d1 >= sample_depths(ds).max()
     assert d1 >= np.ceil(ds.n / 3) / ds.n
+
+
+def median_samples() -> list[np.ndarray]:
+    """210 seeded samples, n from 1 to 40, of seven kinds in turn: general
+    position, rounded to 1 decimal, half on one line, duplicate-heavy, all
+    identical or all collinear, shifted by 1e6, rounded to half-integers."""
+    out = []
+    for i in range(210):
+        rng = np.random.default_rng([47, i])
+        n = 28 + 2 * (i // 30) if i % 30 == 29 else int(rng.integers(1, 25))
+        x = rng.standard_normal((n, 2))
+        kind = i % 7
+        if kind == 1:
+            x = np.round(x, 1)
+        elif kind == 2:
+            t = rng.standard_normal(n // 2)
+            x[: n // 2] = np.stack([t, 0.5 * t + 0.3], axis=1)
+        elif kind == 3:
+            x = x[rng.integers(0, n // 4 + 1, n)]
+        elif kind == 4:
+            x = np.outer(x[:, 0], [1.0, -2.0]) if i % 2 else np.full((n, 2), 1.5)
+        elif kind == 5:
+            x = x + 1e6
+        elif kind == 6:
+            x = np.round(2.0 * x) / 2.0
+        out.append(x)
+    return out
+
+
+@pytest.fixture(scope="module")
+def enumerated():
+    """(sample, its deduplicated arrangement candidates, their swept counts)."""
+    return [(x, *enumeration_counts(x)) for x in median_samples()]
+
+
+def test_tukey_median_matches_full_enumeration(enumerated):
+    # the branch and bound returns the full enumeration's point, to the bit
+    # (+0.0 and -0.0 included), and its count
+    for x, cands, counts in enumerated:
+        ref_pt, ref_cnt = _tie_break_best(cands, counts)  # = tukey_median_enumerated(x)
+        m, dep = tukey_median(Dataset(x))
+        assert m.tobytes() == ref_pt.tobytes() and dep == ref_cnt / x.shape[0]
+
+
+def test_tukey_median_matches_full_enumeration_n60():
+    # the sample of test_outlyingness_examples_and_monotone_along_ray; the
+    # expected point is oracles.tukey_median_enumerated's, pinned because
+    # computing it takes ~15 s
+    ds = Dataset(np.random.default_rng(31).standard_normal((60, 2)))
+    m, dep = tukey_median(ds)
+    expected = [float.fromhex("0x1.a40a44dcf18c5p-4"), float.fromhex("-0x1.d60dabb6c2218p-3")]
+    assert m.tobytes() == np.array(expected).tobytes() and dep == 27 / 60
+
+
+def enumeration_bound(pts: np.ndarray, cands: np.ndarray) -> np.ndarray:
+    return np.min([_tail_bound(pts, cands, u) for u in _BOUND_DIRS], axis=0)
+
+
+def test_median_bound_is_upper_bound_of_swept_counts(enumerated):
+    # includes the arrangement vertices of rounded data, where the two points
+    # on a line through the vertex project to either side by rounding noise
+    for x, cands, counts in enumerated:
+        assert np.all(enumeration_bound(x, cands) >= counts)
+    # the sweep's antipodal snap counts 1 here, where the exact depth is 0
+    snap, origin = np.array([[1.0, 0.0], [-1.0, -5e-10]]), np.zeros((1, 2))
+    assert _min_halfplane_counts(snap, origin)[0] == 1
+    assert enumeration_bound(snap, origin)[0] >= 1
+
+
+def test_max_depth_affine_invariant_up_to_enumeration_limit():
+    rng = np.random.default_rng(53)
+    ds = Dataset(rng.standard_normal((40, 2)))
+    for _ in range(5):
+        while True:
+            A = rng.standard_normal((2, 2))
+            if abs(np.linalg.det(A)) > 0.2:
+                break
+        assert max_depth(affine_transform(ds, A, rng.normal(0.0, 5.0, 2))) == max_depth(ds)
 
 
 def test_sample_depths_matches_pointwise():
