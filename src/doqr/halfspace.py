@@ -32,7 +32,7 @@ _TWO_PI = 2.0 * np.pi
 # used to emulate row-wise searchsorted on flattened arrays.
 _SENTINEL = 10.0
 _ROW_OFFSET = 16.0
-_CHUNK_BUDGET = 800_000  # floats per work chunk in the batch kernel
+_CHUNK_BUDGET = 800_000  # array elements per work chunk in the batch kernels
 # Angular resolution: angle separations within this of exactly pi are treated
 # as exactly antipodal.  Queries constructed from the data (midpoints, line
 # intersections) yield difference vectors that are antipodal/collinear up to
@@ -89,28 +89,33 @@ def unit_directions(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
 
 
 def project(points: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """(m, k) projections of m points on k directions, summed coordinate by
-    coordinate rather than by matmul, so that a row's rounding does not depend
-    on the other rows: a point projects bit-identically alone and in a sample.
-    """
-    acc = np.multiply.outer(points[:, 0], u[:, 0])
-    for k in range(1, points.shape[1]):
-        acc += np.multiply.outer(points[:, k], u[:, k])
-    return acc
+    """(m, k) projections of m points on k directions: the view of a direction-major
+    (k, m) buffer, summed coordinate by coordinate rather than by matmul, so that a
+    row's rounding does not depend on the other rows: a point projects
+    bit-identically alone and in a sample."""
+    acc = np.multiply.outer(u[:, 0], points[:, 0])
+    for j in range(1, points.shape[1]):
+        acc += np.multiply.outer(u[:, j], points[:, j])
+    return acc.T
 
 
-def approx_counts(data: np.ndarray, queries: np.ndarray, cfg: DepthConfig) -> np.ndarray:
-    """Per query, the min over the config's directions of the smaller closed
-    tail count.  A sample point counts in both its own tails, so at least 1."""
-    u = cfg.directions(data.shape[1])
-    proj = project(data, u)  # (n, k)
-    out = np.empty(queries.shape[0], dtype=np.int64)
-    chunk = max(1, _CHUNK_BUDGET // proj.size)
-    for s in range(0, queries.shape[0], chunk):
-        t = project(queries[s : s + chunk], u)[:, None, :]
-        le = np.count_nonzero(proj <= t, axis=1)
-        ge = np.count_nonzero(proj >= t, axis=1)
-        out[s : s + chunk] = np.minimum(le, ge).min(axis=1)
+def sample_approx_counts(data: np.ndarray, cfg: DepthConfig) -> np.ndarray:
+    """Per sample point, the min over the config's directions of its smaller closed
+    tail count (at least 1), from one sort per direction: O(n k log n).  Sorted, its
+    <=-count is the last index of its tie group + 1, its >=-count n - the first."""
+    u, n = cfg.directions(data.shape[1]), data.shape[0]
+    out, pos, step = np.full(n, n), np.arange(n), max(1, _CHUNK_BUDGET // n)
+    for c in range(0, u.shape[0], step):
+        proj = project(data, u[c : c + step]).T  # (directions, n), rows contiguous
+        order = proj.argsort(axis=1)
+        s = np.take_along_axis(proj, order, axis=1)
+        ends = np.ones(s.shape, dtype=bool)  # ends[:, p]: a tie group ends at p
+        np.not_equal(s[:, 1:], s[:, :-1], out=ends[:, :-1])
+        first = np.maximum.accumulate(np.where(np.roll(ends, 1, axis=1), pos, 0), axis=1)
+        last = np.minimum.accumulate(np.where(ends, pos, n - 1)[:, ::-1], axis=1)[:, ::-1]
+        tails = np.empty_like(order)
+        np.put_along_axis(tails, order, np.minimum(last + 1, n - first), axis=1)
+        out = np.minimum(out, tails.min(axis=0))
     return out
 
 
@@ -189,8 +194,11 @@ def depth_approx(ds: Dataset, x, cfg: DepthConfig) -> float:
     Directions are normalized Gaussian vectors from substream 0 of the
     config's seed, so results are reproducible and nested in the budget.
     """
-    x = as_point(x, ds.d)
-    return int(approx_counts(ds.data, x[None, :], cfg)[0]) / ds.n
+    u = cfg.directions(ds.d)
+    proj, t = project(ds.data, u).T, project(as_point(x, ds.d)[None, :], u).T  # (k, n), (k, 1)
+    # int32 row sums vectorize best
+    le, ge = (proj <= t).sum(axis=1, dtype=np.int32), (proj >= t).sum(axis=1, dtype=np.int32)
+    return int(np.minimum(le, ge).min()) / ds.n
 
 
 def _line_intersections(pts: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, SeedSpec
-from .halfspace import DepthConfig, approx_counts, sample_depths
+from .halfspace import DepthConfig, sample_approx_counts, sample_depths
 from .normal import chi2_quantile, oh_threshold
 from .projection import po_profile
 
@@ -109,7 +109,7 @@ def identify(
     elif ds.d == 2:
         scores = 1.0 - 2.0 * sample_depths(ds)
     else:
-        scores = 1.0 - 2.0 * (approx_counts(ds.data, ds.data, cfg) / ds.n)
+        scores = 1.0 - 2.0 * (sample_approx_counts(ds.data, cfg) / ds.n)
     return tuple(int(i) for i in np.nonzero(scores > threshold)[0])
 
 

@@ -36,7 +36,8 @@ def _median_sorted(v: np.ndarray):
 
 def median_mad(values: np.ndarray):
     """Median and unscaled MAD along axis 0 (per column of an (n, k) array),
-    midpoint-average convention."""
+    midpoint-average convention.  Sorts keep the input's memory order, so
+    the direction-major view from ``project`` sorts contiguous columns."""
     v = np.sort(np.asarray(values, dtype=float), axis=0)
     med = _median_sorted(v)
     v -= med  # in place: the sorted deviations need no further copies
@@ -75,15 +76,16 @@ def po_profile(data: np.ndarray, queries: np.ndarray, cfg: DepthConfig) -> np.nd
     is raised when every direction has zero MAD.
     """
     u = cfg.directions(data.shape[1])
-    med, mad = median_mad(project(data, u))
+    proj = project(data, u)
+    med, mad = median_mad(proj)
     good = mad > 0.0
     if not np.any(good):
         raise DegenerateDirectionsError(f"all {u.shape[0]} sampled directions have zero MAD")
-    ratios = project(queries, u[good])  # (m, k_good), scaled deviations in place
-    ratios -= med[good]
+    ratios = (proj if queries is data else project(queries, u)).T[good]  # (k_good, m)
+    ratios -= med[good, None]
     np.abs(ratios, out=ratios)
-    ratios /= mad[good]
-    return ratios.max(axis=1)
+    ratios /= mad[good, None]
+    return ratios.max(axis=0)
 
 
 def po_approx(ds: Dataset, x, cfg: DepthConfig) -> float:

@@ -7,10 +7,13 @@ import numpy as np
 from doqr import Dataset, depth_1d
 from doqr.data import as_point
 from doqr.halfspace import (
+    _CHUNK_BUDGET,
     _GAP_EPS,
+    DepthConfig,
     _line_intersections,
     _min_halfplane_counts,
     _tie_break_best,
+    project,
 )
 
 
@@ -83,3 +86,18 @@ def tukey_median_enumerated(pts: np.ndarray) -> tuple[np.ndarray, int]:
     then the library's tie-break: the enumeration ``tukey_median`` ran before
     it bounded the candidates."""
     return _tie_break_best(*enumeration_counts(pts))
+
+
+def approx_counts_pairwise(data: np.ndarray, queries: np.ndarray, cfg: DepthConfig) -> np.ndarray:
+    """Per query, the min over the config's directions of the smaller closed
+    tail count.  A sample point counts in both its own tails, so at least 1."""
+    u = cfg.directions(data.shape[1])
+    proj = project(data, u)  # (n, k)
+    out = np.empty(queries.shape[0], dtype=np.int64)
+    chunk = max(1, _CHUNK_BUDGET // proj.size)
+    for s in range(0, queries.shape[0], chunk):
+        t = project(queries[s : s + chunk], u)[:, None, :]
+        le = np.count_nonzero(proj <= t, axis=1)
+        ge = np.count_nonzero(proj >= t, axis=1)
+        out[s : s + chunk] = np.minimum(le, ge).min(axis=1)
+    return out

@@ -14,8 +14,14 @@ from doqr import (
     tukey_median,
     unit_directions,
 )
-from doqr.halfspace import _BOUND_DIRS, _min_halfplane_counts, _tail_bound, _tie_break_best
-from oracles import depth_bruteforce, enumeration_counts
+from doqr.halfspace import (
+    _BOUND_DIRS,
+    _min_halfplane_counts,
+    _tail_bound,
+    _tie_break_best,
+    sample_approx_counts,
+)
+from oracles import approx_counts_pairwise, depth_bruteforce, enumeration_counts
 
 AXES4 = Dataset([[1, 0], [-1, 0], [0, 1], [0, -1]])
 
@@ -134,6 +140,34 @@ def test_depth_approx_counts_sample_point_itself():
     for d in (2, 3, 5):
         ds = Dataset(np.random.default_rng(d).standard_normal((100, d)))
         assert min(depth_approx(ds, x, cfg) for x in ds.data) >= 1 / ds.n
+
+
+@pytest.mark.parametrize("chunked", [False, True])
+def test_sample_approx_counts_match_pairwise_oracle(chunked, monkeypatch):
+    # one sort per direction gives every sample point's counts bit for bit as
+    # comparing it with every point, ties (rounding, duplicate rows) included;
+    # the single-query depth_approx keeps the comparison and matches too
+    if chunked:  # a few directions per chunk, the last chunk shorter
+        monkeypatch.setattr("doqr.halfspace._CHUNK_BUDGET", 420)
+    cfg = DepthConfig(300, SeedSpec(4))
+    rng = np.random.default_rng(17)
+    for d in (1, 2, 3, 5):
+        x = rng.standard_normal((60, d))
+        samples = [
+            x,
+            np.round(2.0 * x),
+            np.concatenate([x[:20], x[:20], x[5:15]]),
+            np.full((9, d), 1.5),
+            x[:1],
+        ]
+        for data in samples:
+            want = approx_counts_pairwise(data, data, cfg)
+            got = sample_approx_counts(data, cfg)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            ds = Dataset(data)
+            queries = np.concatenate([data[:3], np.round(rng.standard_normal((3, d)))])
+            for q, c in zip(queries, approx_counts_pairwise(data, queries, cfg)):
+                assert depth_approx(ds, q, cfg) == c / ds.n
 
 
 def test_depth_approx_single_direction_case():

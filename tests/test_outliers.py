@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -175,6 +176,35 @@ def test_masking_experiment_deterministic():
     assert a.to_csv().splitlines()[0] == (
         "trial,method,threshold,n_flagged,n_detected,n_masked,false_positives"
     )
+
+
+def test_projection_cutoff_goldens():
+    # pinned from the pairwise-comparison kernel: the projection layout and the
+    # reuse of the sample's projection must not move a bit
+    cfg = DepthConfig()
+    for d, n_clean, want in (
+        (2, 1000, "0x1.246713870aca5p+2"),
+        (3, 100, "0x1.41fde6e53a41cp+2"),
+        (5, 100, "0x1.66d7e5d137809p+2"),
+    ):
+        spec = ContaminationSpec(n_clean=n_clean, d=d, seed=SeedSpec(7))
+        assert projection_cutoff(spec, 0.01, cfg).hex() == want
+
+
+def test_masking_experiment_report_goldens():
+    # unsaturated thresholds, so the d = 3 and d = 5 halfspace identifier
+    # flags points; reports pinned from the pairwise-comparison kernel
+    for d, fpr, want in (
+        (3, 0.1, "6ebbf60f94d239f8cb725136ef915c6e2b3c6fe96f7b8f83218b5e5f27ae5707"),
+        (5, 0.3, "068da5a96e7de450bd16758630c9add94f457c7a749e76d44e4503521b8f8d05"),
+    ):
+        spec = ContaminationSpec(
+            n_clean=200, d=d, n_outliers=3, outlier_center=(4.0,) + (0.0,) * (d - 1),
+            outlier_spread=0.1, seed=SeedSpec(31),
+        )
+        rep = masking_experiment(spec, fpr, 4, CFG)
+        assert rep.summary("halfspace").mean_fp_rate > 0.0
+        assert hashlib.sha256(rep.to_json().encode()).hexdigest() == want
 
 
 def test_masking_experiment_validation():

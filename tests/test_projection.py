@@ -12,6 +12,7 @@ from doqr import (
     po_approx,
     projection_depth,
 )
+from doqr.projection import po_profile
 
 CFG = DepthConfig(400, SeedSpec(11))
 
@@ -102,6 +103,18 @@ def test_po_approx_deterministic():
     ds = Dataset(rng.standard_normal((20, 5)))
     x = rng.standard_normal(5)
     assert po_approx(ds, x, CFG) == po_approx(ds, x, CFG)
+
+
+def test_po_profile_sample_reuse_equals_reprojection():
+    # the sample's own scores reuse its projection; a copy of the sample is
+    # projected again as queries, and every value must agree bit for bit
+    rng = np.random.default_rng(8)
+    for d in (1, 2, 3, 5):
+        x = rng.standard_normal((200, d))
+        for data in (x, np.round(x)):
+            got = po_profile(data, data, CFG)
+            want = po_profile(data, data.copy(), CFG)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_po_approx_all_degenerate_errors():
