@@ -20,7 +20,9 @@ import numpy as np
 
 from .data import Dataset, as_point
 from .halfspace import (
+    _BOUND_DIRS,
     _min_halfplane_counts,
+    _tail_bound,
     max_depth,
     sample_depths,
     tukey_median,
@@ -72,7 +74,7 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     pts = np.unique(np.asarray(points, dtype=float), axis=0)
     if pts.shape[0] == 1:
         return pts
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))].tolist()  # float arithmetic, fast loop
 
     def build(seq):
         chain = []
@@ -85,6 +87,33 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     lower = build(pts)
     upper = build(pts[::-1])
     return np.array(lower[:-1] + upper[:-1])
+
+
+def _members_at_least(data: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the 2-D sample points whose exact count (depth * n) is >= k.
+
+    Projection tail counts bound every count from above and drop the points
+    that cannot reach k; the hull vertices of the rest are swept exactly, and
+    those below k are peeled until every hull vertex passes.  The region
+    {x : count >= k} is convex, so every point left inside that hull is a member.
+    """
+    n = data.shape[0]
+    if k <= 1:  # a sample point always counts itself
+        return np.ones(n, dtype=bool)
+    ub = np.full(n, n)
+    for u in _BOUND_DIRS:
+        ub = np.minimum(ub, _tail_bound(data, data, u))
+    live, passed = ub >= k, np.zeros(n, dtype=bool)
+    while live.any():
+        hull = convex_hull(data[live])
+        # every copy of a hull vertex, not yet swept
+        idx = np.flatnonzero(live & ~passed & (data[:, None, :] == hull).all(axis=2).any(axis=1))
+        ok = _min_halfplane_counts(data, data[idx]) >= k
+        passed[idx[ok]] = True
+        if ok.all():
+            break
+        live[idx[~ok]] = False
+    return live
 
 
 def points_in_hull(hull: np.ndarray, points: np.ndarray, tol: float | None = None) -> np.ndarray:

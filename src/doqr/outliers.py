@@ -26,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, SeedSpec
-from .halfspace import DepthConfig, sample_approx_counts, sample_depths
+from .halfspace import DepthConfig, sample_approx_counts
+from .induction import _members_at_least
 from .normal import chi2_quantile, oh_threshold
 from .projection import po_profile
 
@@ -96,7 +97,9 @@ def identify(
     """Flag sample indices whose outlyingness exceeds the threshold.
 
     halfspace: flags i when 1 - 2*depth(x_i) > threshold, with exact depth
-    for d = 2 and sampled-direction depth otherwise.  projection: flags i
+    for d = 2 and sampled-direction depth otherwise.  At d = 2 that is one
+    level question: x_i is flagged when its exact count is below the smallest
+    count k whose score is not above the threshold.  projection: flags i
     when the projection outlyingness of x_i exceeds the threshold.
     """
     if method not in METHODS:
@@ -105,12 +108,14 @@ def identify(
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
     if method == "projection":
-        scores = po_profile(ds.data, ds.data, cfg)
+        flagged = po_profile(ds.data, ds.data, cfg) > threshold
     elif ds.d == 2:
-        scores = 1.0 - 2.0 * sample_depths(ds)
+        # the score falls as the count rises, so the counts above the threshold are 0..k-1
+        k = int(np.count_nonzero(1.0 - 2.0 * (np.arange(ds.n + 1) / ds.n) > threshold))
+        flagged = ~_members_at_least(ds.data, k)
     else:
-        scores = 1.0 - 2.0 * (sample_approx_counts(ds.data, cfg) / ds.n)
-    return tuple(int(i) for i in np.nonzero(scores > threshold)[0])
+        flagged = 1.0 - 2.0 * (sample_approx_counts(ds.data, cfg) / ds.n) > threshold
+    return tuple(int(i) for i in np.flatnonzero(flagged))
 
 
 @dataclass(frozen=True)

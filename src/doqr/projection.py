@@ -25,25 +25,29 @@ class DegenerateDirectionsError(ValueError):
     """Every sampled direction had zero MAD; no outlyingness is defined."""
 
 
-def _median_sorted(v: np.ndarray):
-    # v sorted ascending along axis 0; average of the two central order
-    # statistics, per column when v is 2-D
-    n = v.shape[0]
-    i = (n + 1) // 2 - 1  # ceil(n/2), 0-based
-    j = n // 2  # floor(n/2) + 1, 0-based
-    return 0.5 * (v[i] + v[j])
+def _median_partitioned(v: np.ndarray):
+    # v partitioned along axis 0 at j = floor(n/2) + 1 (1-based); average of the
+    # order statistics ceil(n/2) and j, per column when v is 2-D.  For even n
+    # the lower one is the largest of the j entries below v[j].
+    j = v.shape[0] // 2
+    lower = v[j] if v.shape[0] % 2 else v[:j].max(axis=0)
+    return 0.5 * (lower + v[j])
 
 
 def median_mad(values: np.ndarray):
     """Median and unscaled MAD along axis 0 (per column of an (n, k) array),
-    midpoint-average convention.  Sorts keep the input's memory order, so
-    the direction-major view from ``project`` sorts contiguous columns."""
-    v = np.sort(np.asarray(values, dtype=float), axis=0)
-    med = _median_sorted(v)
-    v -= med  # in place: the sorted deviations need no further copies
+    midpoint-average convention.  Each is read from one partition at the upper
+    central index, not a full sort, with the same order statistics.  Partitions
+    keep the input's memory order, so the direction-major view from
+    ``project`` partitions contiguous columns."""
+    v = np.asarray(values, dtype=float)
+    j = v.shape[0] // 2
+    v = np.partition(v, j, axis=0)
+    med = _median_partitioned(v)
+    v -= med  # in place: the deviations need no further copies
     np.abs(v, out=v)
-    v.sort(axis=0)
-    return med, _median_sorted(v)
+    v.partition(j, axis=0)
+    return med, _median_partitioned(v)
 
 
 def po_1d(ds: Dataset, x: float) -> float:

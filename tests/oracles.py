@@ -101,3 +101,15 @@ def approx_counts_pairwise(data: np.ndarray, queries: np.ndarray, cfg: DepthConf
         ge = np.count_nonzero(proj >= t, axis=1)
         out[s : s + chunk] = np.minimum(le, ge).min(axis=1)
     return out
+
+
+def median_mad_sorted(values: np.ndarray):
+    """Median and unscaled MAD along axis 0 from two full sorts: the average of
+    the order statistics ceil(n/2) and floor(n/2) + 1 (1-based) of the values,
+    then of their absolute deviations from that median."""
+    v = np.sort(np.asarray(values, dtype=float), axis=0)
+    n = v.shape[0]
+    i, j = (n + 1) // 2 - 1, n // 2
+    med = 0.5 * (v[i] + v[j])
+    dev = np.sort(np.abs(v - med), axis=0)
+    return med, 0.5 * (dev[i] + dev[j])

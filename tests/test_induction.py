@@ -20,6 +20,7 @@ from doqr import (
     trimmed_mean,
     tukey_median,
 )
+from doqr.induction import _members_at_least
 
 AXES4 = Dataset([[1, 0], [-1, 0], [0, 1], [0, -1]])
 AXES5 = Dataset([[1, 0], [-1, 0], [0, 1], [0, -1], [0, 0]])
@@ -57,6 +58,40 @@ def test_points_in_hull_closed_semantics():
     pt = np.array([[1, 1]], float)
     got = points_in_hull(pt, np.array([[1, 1], [1.1, 1]]))
     assert got.tolist() == [True, False]
+
+
+def level_families():
+    """Seeded 2-D samples for the level-membership oracle: general position,
+    rounded to 1 decimal and to halves, half on one line (also rounded), all
+    collinear, duplicate-heavy, all identical, n = 1, and a point the sweep
+    snaps onto the line through two others."""
+    rng = np.random.default_rng(2024)
+    for n in (2, 3, 7, 20, 61, 150, 400):
+        x = rng.standard_normal((n, 2))
+        yield f"general-{n}", x
+        yield f"decimal-{n}", np.round(x, 1)
+        yield f"halves-{n}", np.round(2.0 * x) / 2.0
+        t = rng.standard_normal(n)
+        line = np.stack([0.3 + t, -1.0 + 2.0 * t], axis=1)
+        yield f"half-line-{n}", np.concatenate([line[: n // 2], x[n // 2 :]])
+        yield f"half-line-decimal-{n}", np.round(np.concatenate([line[: n // 2], x[n // 2 :]]), 1)
+        yield f"collinear-{n}", line
+        pool = rng.standard_normal((max(1, n // 8), 2)).round(1)
+        yield f"duplicates-{n}", pool[rng.integers(0, pool.shape[0], n)]
+    yield "identical", np.full((9, 2), 1.5)
+    yield "single", np.array([[0.25, -3.0]])
+    # the sweep's antipodal snap counts both ends of this near-line at the origin
+    yield "snap", np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 5e-10]])
+
+
+def test_members_at_least_matches_sample_depths():
+    for name, pts in level_families():
+        ds = Dataset(pts)
+        counts = np.rint(sample_depths(ds) * ds.n)
+        top = int(counts.max())
+        for k in sorted({1, 2, 3, ds.n // 10, ds.n // 4, top, top + 1}):
+            got = _members_at_least(ds.data, k)
+            assert got.dtype == bool and np.array_equal(got, counts >= k), (name, k)
 
 
 def test_central_region_examples():

@@ -116,6 +116,24 @@ def test_identify_halfspace_population_threshold_saturates():
         assert identify(ds_d, "halfspace", lam_d, CFG) == ()
 
 
+def test_identify_halfspace_d2_matches_sample_depth_scores():
+    # one level question answers it: the flags are the old self-depth scores' flags
+    spec = ContaminationSpec(
+        n_clean=1000, d=2, n_outliers=3, outlier_center=(4.0, 0.0), outlier_spread=0.1,
+        seed=SeedSpec(6),
+    )
+    big, _ = sample_contaminated(spec)
+    rng = np.random.default_rng(6)
+    small = rng.standard_normal((150, 2))
+    for ds in (big, Dataset(np.round(big.data, 1)), Dataset(small), Dataset(np.round(2 * small) / 2),
+               Dataset([[0.0, 0.0], [1.0, 0.0], [-1.0, 5e-10]]), Dataset([[2.0, 1.0]])):
+        scores = 1.0 - 2.0 * sample_depths(ds)
+        for t in (oh_threshold(0.01, 2), 0.0, -1.5, 0.999):
+            want = tuple(int(i) for i in np.nonzero(scores > t)[0])
+            assert identify(ds, "halfspace", t, CFG) == want
+    assert 0 < len(identify(big, "halfspace", oh_threshold(0.01, 2), CFG)) < big.n
+
+
 def test_identify_d3_uses_approx_depth():
     spec = ContaminationSpec(
         n_clean=50, d=3, n_outliers=1, outlier_center=(8.0, 0.0, 0.0),
@@ -204,6 +222,23 @@ def test_masking_experiment_report_goldens():
         )
         rep = masking_experiment(spec, fpr, 4, CFG)
         assert rep.summary("halfspace").mean_fp_rate > 0.0
+        assert hashlib.sha256(rep.to_json().encode()).hexdigest() == want
+
+
+def test_masking_experiment_report_goldens_d2():
+    # unsaturated thresholds that flag the outer hull layers; reports pinned
+    # from the all-self-depths identifier and the two-sort median_mad
+    for fpr, want in (
+        (0.1, "0268bec9cc53efb38141a46d64e1d7dec58d2902d4a3100d579b2d60c2f78439"),
+        (0.3, "312dd19de10f7ab5f32d16474a289a9e68d29b2bf95d37e93b37ea8ccdbbe82b"),
+    ):
+        spec = ContaminationSpec(
+            n_clean=200, d=2, n_outliers=3, outlier_center=(4.0, 0.0), outlier_spread=0.1,
+            seed=SeedSpec(31),
+        )
+        rep = masking_experiment(spec, fpr, 4, CFG)
+        assert rep.summary("halfspace").mean_fp_rate > 0.0
+        assert rep.summary("projection").mean_fp_rate > 0.0
         assert hashlib.sha256(rep.to_json().encode()).hexdigest() == want
 
 

@@ -12,7 +12,10 @@ from doqr import (
     po_approx,
     projection_depth,
 )
+from doqr.halfspace import project
 from doqr.projection import po_profile
+
+from oracles import median_mad_sorted
 
 CFG = DepthConfig(400, SeedSpec(11))
 
@@ -23,6 +26,23 @@ def test_median_mad_conventions():
     med, mad = median_mad(np.array([1.0, 2.0, 4.0, 10.0]))
     assert med == 3.0
     assert mad == 0.5 * (1.0 + 2.0)  # deviations 2,1,1,7 -> sorted 1,1,2,7
+
+
+def test_median_mad_matches_sort_reference():
+    rng = np.random.default_rng(21)
+    cases = [rng.standard_normal(n) for n in (1, 2, 3, 4, 101, 1000)]
+    cases += [rng.integers(0, 3, n).astype(float) for n in (5, 6, 40)]  # heavy ties
+    cases += [np.full(7, -0.0), Dataset(rng.standard_normal(9)).data[:, 0]]  # po_1d's column
+    cfg = DepthConfig(300, SeedSpec(2))
+    for m, d in ((1, 2), (2, 2), (103, 2), (104, 3), (1000, 5)):
+        cases.append(project(rng.standard_normal((m, d)), cfg.directions(d)))  # (m, k) view
+        cases.append(project(np.round(rng.standard_normal((m, d))), cfg.directions(d)))
+    for v in cases:
+        got, want = median_mad(v), median_mad_sorted(v)
+        for g, w in zip(got, want):
+            # bit for bit, but for the sign of a zero median: which of the tied
+            # +0.0 and -0.0 lands at the centre is the sort's or selection's choice
+            assert (np.asarray(g) + 0.0).tobytes() == (np.asarray(w) + 0.0).tobytes()
 
 
 def test_po_1d_examples():
