@@ -93,10 +93,20 @@ def project(points: np.ndarray, u: np.ndarray) -> np.ndarray:
     (k, m) buffer, summed coordinate by coordinate rather than by matmul, so that a
     row's rounding does not depend on the other rows: a point projects
     bit-identically alone and in a sample."""
-    acc = np.multiply.outer(u[:, 0], points[:, 0])
+    return _project_into(points, u, np.empty((u.shape[0], points.shape[0]))).T
+
+
+def _project_into(points: np.ndarray, u: np.ndarray, out: np.ndarray, tmp=None) -> np.ndarray:
+    """``project``'s (k, m) buffer written into ``out``, the products into ``tmp`` (or new)."""
+    np.multiply.outer(u[:, 0], points[:, 0], out=out)
     for j in range(1, points.shape[1]):
-        acc += np.multiply.outer(u[:, j], points[:, j])
-    return acc.T
+        out += np.multiply.outer(u[:, j], points[:, j], out=tmp)
+    return out
+
+
+def _block_rows(k: int, width: int) -> int:
+    """Rows per work block of ``width`` elements each: about _CHUNK_BUDGET elements, at most k."""
+    return min(k, max(1, _CHUNK_BUDGET // width))
 
 
 def sample_approx_counts(data: np.ndarray, cfg: DepthConfig) -> np.ndarray:
@@ -104,9 +114,10 @@ def sample_approx_counts(data: np.ndarray, cfg: DepthConfig) -> np.ndarray:
     tail count (at least 1), from one sort per direction: O(n k log n).  Sorted, its
     <=-count is the last index of its tie group + 1, its >=-count n - the first."""
     u, n = cfg.directions(data.shape[1]), data.shape[0]
-    out, pos, step = np.full(n, n), np.arange(n), max(1, _CHUNK_BUDGET // n)
-    for c in range(0, u.shape[0], step):
-        proj = project(data, u[c : c + step]).T  # (directions, n), rows contiguous
+    out, pos, step = np.full(n, n), np.arange(n), _block_rows(len(u), n)
+    buf, tmp = np.empty((step, n)), np.empty((step, n))
+    for uc in np.split(u, range(step, len(u), step)):
+        proj = _project_into(data, uc, buf[: len(uc)], tmp[: len(uc)])  # rows contiguous
         order = proj.argsort(axis=1)
         s = np.take_along_axis(proj, order, axis=1)
         ends = np.ones(s.shape, dtype=bool)  # ends[:, p]: a tie group ends at p

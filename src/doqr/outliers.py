@@ -218,7 +218,7 @@ def projection_cutoff(spec: ContaminationSpec, fpr: float, cfg: DepthConfig) -> 
     m = 10 * spec.n_clean
     cal = spec.seed.generator(1, 0).standard_normal((m, spec.d))
     k = max(1, math.ceil((1.0 - fpr) * m))
-    return float(np.sort(po_profile(cal, cal, cfg))[k - 1])
+    return float(np.partition(po_profile(cal, cal, cfg), k - 1)[k - 1])
 
 
 def masking_experiment(

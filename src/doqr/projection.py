@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .data import Dataset, as_point
-from .halfspace import DepthConfig, project
+from .halfspace import DepthConfig, _block_rows, _project_into, project
 
 
 class DegenerateScaleWarning(UserWarning):
@@ -25,29 +25,34 @@ class DegenerateDirectionsError(ValueError):
     """Every sampled direction had zero MAD; no outlyingness is defined."""
 
 
-def _median_partitioned(v: np.ndarray):
-    # v partitioned along axis 0 at j = floor(n/2) + 1 (1-based); average of the
-    # order statistics ceil(n/2) and j, per column when v is 2-D.  For even n
-    # the lower one is the largest of the j entries below v[j].
-    j = v.shape[0] // 2
-    lower = v[j] if v.shape[0] % 2 else v[:j].max(axis=0)
-    return 0.5 * (lower + v[j])
+def _median_partitioned(v: np.ndarray, j: int):
+    # rows of v partitioned at j = floor(n/2) + 1 (1-based); average of the order
+    # statistics ceil(n/2) and j per row.  For even n the lower one is the largest
+    # of the j entries below v[..., j].
+    lower = v[..., j] if v.shape[-1] % 2 else v[..., :j].max(axis=-1)
+    return 0.5 * (lower + v[..., j])
+
+
+def _median_mad_rows(rows: np.ndarray, work: np.ndarray):
+    """Median (as +0.0 when zero) and MAD of each row, read from in-place
+    partitions of ``work``, a buffer of the rows' shape; ``rows`` is unchanged."""
+    j = rows.shape[-1] // 2
+    np.copyto(work, rows)
+    work.partition(j, axis=-1)
+    med = _median_partitioned(work, j) + 0.0
+    np.subtract(rows, np.expand_dims(med, -1), out=work)
+    np.abs(work, out=work)
+    work.partition(j, axis=-1)
+    return med, _median_partitioned(work, j)
 
 
 def median_mad(values: np.ndarray):
     """Median and unscaled MAD along axis 0 (per column of an (n, k) array),
-    midpoint-average convention.  Each is read from one partition at the upper
-    central index, not a full sort, with the same order statistics.  Partitions
-    keep the input's memory order, so the direction-major view from
-    ``project`` partitions contiguous columns."""
-    v = np.asarray(values, dtype=float)
-    j = v.shape[0] // 2
-    v = np.partition(v, j, axis=0)
-    med = _median_partitioned(v)
-    v -= med  # in place: the deviations need no further copies
-    np.abs(v, out=v)
-    v.partition(j, axis=0)
-    return med, _median_partitioned(v)
+    midpoint-average convention; a zero median is returned as +0.0.  Each is read
+    from one partition at the upper central index, not a full sort, with the same
+    order statistics."""
+    rows = np.asarray(values, dtype=float).T
+    return _median_mad_rows(rows, np.empty(rows.shape))
 
 
 def po_1d(ds: Dataset, x: float) -> float:
@@ -77,19 +82,29 @@ def po_profile(data: np.ndarray, queries: np.ndarray, cfg: DepthConfig) -> np.nd
     per query.
 
     Directions with zero projected MAD are skipped; DegenerateDirectionsError
-    is raised when every direction has zero MAD.
+    is raised when every direction has zero MAD.  Directions are taken in blocks
+    of about ``_CHUNK_BUDGET`` projections held in two reused buffers, so memory
+    is O(block + m + k) for m points and k directions.
     """
     u = cfg.directions(data.shape[1])
-    proj = project(data, u)
-    med, mad = median_mad(proj)
-    good = mad > 0.0
-    if not np.any(good):
-        raise DegenerateDirectionsError(f"all {u.shape[0]} sampled directions have zero MAD")
-    ratios = (proj if queries is data else project(queries, u)).T[good]  # (k_good, m)
-    ratios -= med[good, None]
-    np.abs(ratios, out=ratios)
-    ratios /= mad[good, None]
-    return ratios.max(axis=0)
+    step = _block_rows(len(u), max(len(data), len(queries)))
+    buf, work = np.empty((step, len(data))), np.empty((step, len(data)))
+    best, any_good = np.full(len(queries), -np.inf), False
+    for uc in np.split(u, range(step, len(u), step)):
+        proj = _project_into(data, uc, buf[: len(uc)], work[: len(uc)])  # (block, m)
+        med, mad = _median_mad_rows(proj, work[: len(uc)])
+        ratios = proj if queries is data else project(queries, uc).T
+        good = mad > 0.0
+        any_good |= good.any()
+        if not good.all():  # skip the zero-MAD rows
+            ratios, med, mad = ratios[good], med[good], mad[good]
+        ratios -= med[:, None]
+        np.abs(ratios, out=ratios)
+        ratios /= mad[:, None]
+        np.maximum(best, ratios.max(axis=0, initial=-np.inf), out=best)
+    if not any_good:
+        raise DegenerateDirectionsError(f"all {len(u)} sampled directions have zero MAD")
+    return best
 
 
 def po_approx(ds: Dataset, x, cfg: DepthConfig) -> float:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from doqr import Dataset, depth_1d
+from doqr import Dataset, DegenerateDirectionsError, depth_1d
 from doqr.data import as_point
 from doqr.halfspace import (
     _CHUNK_BUDGET,
@@ -113,3 +113,20 @@ def median_mad_sorted(values: np.ndarray):
     med = 0.5 * (v[i] + v[j])
     dev = np.sort(np.abs(v - med), axis=0)
     return med, 0.5 * (dev[i] + dev[j])
+
+
+def po_profile_unblocked(data: np.ndarray, queries: np.ndarray, cfg: DepthConfig) -> np.ndarray:
+    """``po_profile`` over all k directions at once, holding (m, k) arrays: the
+    library's code before it took directions in blocks, with the sort-based
+    ``median_mad_sorted`` in place of the library's selection."""
+    u = cfg.directions(data.shape[1])
+    proj = project(data, u)
+    med, mad = median_mad_sorted(proj)
+    good = mad > 0.0
+    if not np.any(good):
+        raise DegenerateDirectionsError(f"all {u.shape[0]} sampled directions have zero MAD")
+    ratios = (proj if queries is data else project(queries, u)).T[good]  # (k_good, m)
+    ratios -= med[good, None]
+    np.abs(ratios, out=ratios)
+    ratios /= mad[good, None]
+    return ratios.max(axis=0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,11 @@ from doqr import (
     po_approx,
     projection_depth,
 )
+from doqr import halfspace
 from doqr.halfspace import project
 from doqr.projection import po_profile
 
-from oracles import median_mad_sorted
+from oracles import median_mad_sorted, po_profile_unblocked
 
 CFG = DepthConfig(400, SeedSpec(11))
 
@@ -40,9 +43,18 @@ def test_median_mad_matches_sort_reference():
     for v in cases:
         got, want = median_mad(v), median_mad_sorted(v)
         for g, w in zip(got, want):
-            # bit for bit, but for the sign of a zero median: which of the tied
-            # +0.0 and -0.0 lands at the centre is the sort's or selection's choice
-            assert (np.asarray(g) + 0.0).tobytes() == (np.asarray(w) + 0.0).tobytes()
+            # bit for bit; the reference's zero median takes the sign of whichever
+            # of the tied +0.0 and -0.0 its sort puts at the centre
+            assert np.asarray(g).tobytes() == (np.asarray(w) + 0.0).tobytes()
+
+
+def test_median_mad_zero_median_is_positive():
+    # whether -0.0 or +0.0 is selected at the centre is numpy's choice; the
+    # returned median is +0.0 whatever it picked
+    x = np.round(np.random.default_rng(2).standard_normal((1000, 5)))
+    med, _ = median_mad(project(x, DepthConfig(300, SeedSpec(2)).directions(5)))
+    assert np.count_nonzero(med == 0.0) > 0
+    assert not np.any(np.signbit(med[med == 0.0]))
 
 
 def test_po_1d_examples():
@@ -135,6 +147,90 @@ def test_po_profile_sample_reuse_equals_reprojection():
             got = po_profile(data, data, CFG)
             want = po_profile(data, data.copy(), CFG)
             assert got.tobytes() == want.tobytes()
+
+
+class _FixedDirections:
+    """A stand-in for DepthConfig whose directions are given."""
+
+    def __init__(self, u: np.ndarray):
+        self.n_directions, self.u = len(u), u
+
+    def directions(self, d: int) -> np.ndarray:
+        return self.u
+
+
+def _profile_or_error(profile, data, queries, cfg):
+    try:
+        return profile(data, queries, cfg).tobytes()
+    except DegenerateDirectionsError as e:
+        return str(e)
+
+
+def _assert_blocks_match_unblocked(monkeypatch, data, cfg, rows_per_block):
+    # rows_per_block None: the library's own budget; else a budget small enough
+    # for that many directions per block, so the last block of most k is partial
+    for queries in (data, data.copy(), np.random.default_rng(7).standard_normal((7, data.shape[1]))):
+        if rows_per_block is not None:
+            budget = rows_per_block * max(len(data), len(queries))
+            monkeypatch.setattr(halfspace, "_CHUNK_BUDGET", budget)
+        got = _profile_or_error(po_profile, data, queries, cfg)
+        assert got == _profile_or_error(po_profile_unblocked, data, queries, cfg)
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 7])
+def test_po_profile_blocks_match_unblocked(monkeypatch, rows_per_block):
+    # 400 directions: one block at the real budget up to m = 2000, two (399 + 1)
+    # at m = 2001; 57 blocks of 7 and a last one of 1 at the small budget.
+    # m = 1 has zero MAD in every direction and raises in both.
+    rng = np.random.default_rng(31)
+    for d in (1, 2, 3, 5):
+        for m in (1, 2, 3, 200, 201) + ((2001,) if d == 2 else ()):
+            x = rng.standard_normal((m, d))
+            for data in (x, np.round(x)):
+                _assert_blocks_match_unblocked(monkeypatch, data, CFG, rows_per_block)
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 4])
+def test_po_profile_blocks_skip_zero_mad_directions(monkeypatch, rows_per_block):
+    # 25 of 41 points share their last coordinate, so the MAD is exactly zero
+    # along +-e_d and positive along the random directions; at 4 per block the
+    # e_d rows fill one block and share two with random directions
+    rng = np.random.default_rng(32)
+    for d in (2, 3):
+        e = np.eye(d)[-1]
+        data = rng.standard_normal((41, d))
+        data[:25, -1] = 0.5
+        u = DepthConfig(20, SeedSpec(4)).directions(d)
+        dirs = np.concatenate([u[:10], np.tile(e, (6, 1)), u[10:13], [-e], u[13:]])
+        on_e = np.zeros(len(dirs), dtype=bool)
+        on_e[10:16] = on_e[19] = True
+        assert np.array_equal(median_mad_sorted(project(data, dirs))[1] == 0.0, on_e)
+        _assert_blocks_match_unblocked(monkeypatch, data, _FixedDirections(dirs), rows_per_block)
+        # zero MAD in every block: raised once, naming every direction
+        for points, cfg in ((data, _FixedDirections(np.tile(e, (9, 1)))), (np.ones((7, d)), CFG)):
+            if rows_per_block is not None:
+                monkeypatch.setattr(halfspace, "_CHUNK_BUDGET", rows_per_block * len(points))
+            with pytest.raises(DegenerateDirectionsError, match=f"all {cfg.n_directions} "):
+                po_profile(points, points, cfg)
+
+
+def test_po_profile_memory_is_one_block():
+    # the profile holds two (block, m) float64 buffers of about _CHUNK_BUDGET
+    # elements and O(m + k) vectors: O(block + m + k), never an (m, k) array
+    # (the unblocked profile peaked at 160 MB here, with several 80 MB ones)
+    cal = np.random.default_rng(3).standard_normal((10_000, 2))
+    cfg = DepthConfig()
+    po_profile(cal, cal, cfg)  # warm
+    m, k = cal.shape[0], cfg.n_directions
+    bound = 8 * (3 * halfspace._CHUNK_BUDGET + 16 * (m + k))  # bytes, one block of slack
+    assert bound < 32e6
+    tracemalloc.start()
+    try:
+        po_profile(cal, cal, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_po_approx_all_degenerate_errors():
