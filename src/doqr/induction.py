@@ -3,17 +3,18 @@ depth contours.
 
 The empirical central region at level a is the convex hull of the sample
 points whose exact depth is >= a; its probability weight p is the fraction
-of sample points lying in the closed hull.  The rank of a query x is
-u = p * v, where p is the weight of the region at x's own depth level and v
-is the unit direction toward x from the Tukey median M.  The quantile map
-inverts this along rays from M by bisection on the (nondecreasing, stepwise)
-weight profile.  Outlyingness is ||u|| and depth is recovered as 1/(1+O),
-so all four functions share one contour system.
+of sample points with depth >= a, the same set as the sample points in the
+closed hull because regions are convex (counted, not hull-tested with a
+tolerance, so float-collinear data get exact weights).  The rank of a query
+x is u = p * v, where p is the weight of the region at x's own depth level
+and v is the unit direction toward x from the Tukey median M.  The quantile
+map inverts this along rays from M by bisection on the (nondecreasing,
+stepwise) weight profile.  Outlyingness is ||u|| and depth is recovered as
+1/(1+O), so all four functions share one contour system.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ from .halfspace import (
     tukey_median,
 )
 
-_LEVEL_EPS = 1e-12  # slack for comparing attained depth levels (spacing 1/n)
+_LEVEL_EPS = 1e-12  # slack for comparing a user-given level with attained ones (spacing 1/n)
 _RANK_CAP = 1.0 - 1e-9
 
 
@@ -74,7 +75,7 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     pts = np.unique(np.asarray(points, dtype=float), axis=0)
     if pts.shape[0] == 1:
         return pts
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))].tolist()  # float arithmetic, fast loop
+    pts = pts.tolist()  # unique rows come sorted by (x, y); float arithmetic, fast loop
 
     def build(seq):
         chain = []
@@ -116,76 +117,22 @@ def _members_at_least(data: np.ndarray, k: int) -> np.ndarray:
     return live
 
 
-def points_in_hull(hull: np.ndarray, points: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Boolean mask of points inside the closed convex polygon ``hull``.
-
-    ``hull`` is a CCW vertex list as produced by :func:`convex_hull`;
-    degenerate hulls (segment, single point) are handled.  ``tol`` is an
-    absolute distance tolerance, by default 1e-9 times the coordinate scale.
-    """
-    hull = np.asarray(hull, dtype=float)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if tol is None:
-        scale = max(1.0, float(np.max(np.abs(hull))) if hull.size else 1.0)
-        tol = 1e-9 * scale
-    k = hull.shape[0]
-    if k == 1:
-        return np.linalg.norm(pts - hull[0], axis=1) <= tol
-    if k == 2:
-        a, b = hull[0], hull[1]
-        d = b - a
-        ln = float(np.linalg.norm(d))
-        rel = pts - a
-        cross = np.abs(rel[:, 0] * d[1] - rel[:, 1] * d[0]) / ln
-        t = rel @ d
-        return (cross <= tol) & (t >= -tol * ln) & (t <= ln * ln + tol * ln)
-    inside = np.ones(pts.shape[0], dtype=bool)
-    for i in range(k):
-        a = hull[i]
-        b = hull[(i + 1) % k]
-        e = b - a
-        ln = float(np.linalg.norm(e))
-        cross = e[0] * (pts[:, 1] - a[1]) - e[1] * (pts[:, 0] - a[0])
-        inside &= cross >= -tol * ln
-    return inside
-
-
-class _RegionTable:
-    """Attained depth levels of a sample with lazily built hulls/weights.
-
-    Hull construction and containment counting are deferred per level: the
-    rank/quantile machinery only ever visits a handful of levels, and eager
-    construction would cost O(n) hulls over O(n) points each.  Once built, a
-    level's entry is immutable and may be read concurrently.
-    """
-
-    def __init__(self, ds: Dataset):
-        self.ds = ds
-        self.depths = sample_depths(ds)
-        self.levels = np.unique(self.depths)
-        self._cache: dict[int, tuple[np.ndarray, float]] = {}
-
-    def entry(self, idx: int) -> tuple[np.ndarray, float]:
-        got = self._cache.get(idx)
-        if got is None:
-            lev = self.levels[idx]
-            sel = self.ds.data[self.depths >= lev - _LEVEL_EPS]
-            hull = convex_hull(sel)
-            hull.setflags(write=False)
-            inside = points_in_hull(hull, self.ds.data)
-            got = (hull, int(np.count_nonzero(inside)) / self.ds.n)
-            self._cache[idx] = got
-        return got
-
-
-@functools.lru_cache(maxsize=32)
-def _region_table(ds: Dataset) -> _RegionTable:
-    return _RegionTable(ds)
-
-
 def _require_2d(ds: Dataset, op: str) -> None:
     if ds.d != 2:
         raise ValueError(f"{op} requires d = 2, got d = {ds.d}")
+
+
+def _reaches(depth, alpha: float):
+    """depth >= alpha for a user-given level alpha, up to _LEVEL_EPS."""
+    return depth >= alpha - _LEVEL_EPS
+
+
+def _members(ds: Dataset, alpha: float) -> np.ndarray:
+    """Mask of the sample points with depth >= alpha, a user-given level."""
+    mask = _reaches(sample_depths(ds), alpha)
+    if not mask.any():
+        raise EmptyRegionError(f"no sample point has depth >= {alpha}")
+    return mask
 
 
 def central_region(ds: Dataset, alpha: float) -> CentralRegion:
@@ -198,30 +145,20 @@ def central_region(ds: Dataset, alpha: float) -> CentralRegion:
     _require_2d(ds, "central_region")
     alpha = float(alpha)
     md = max_depth(ds)
-    if not 0.0 < alpha <= md + _LEVEL_EPS:
+    if not (0.0 < alpha and _reaches(md, alpha)):
         raise ValueError(f"level must lie in (0, max_depth={md}], got {alpha}")
-    table = _region_table(ds)
-    idx = int(np.searchsorted(table.levels, alpha - _LEVEL_EPS, side="left"))
-    if idx >= len(table.levels):
-        raise EmptyRegionError(f"no sample point has depth >= {alpha}")
-    hull, weight = table.entry(idx)
-    return CentralRegion(alpha, np.array(hull), weight)
+    members = _members(ds, alpha)
+    return CentralRegion(alpha, convex_hull(ds.data[members]), int(members.sum()) / ds.n)
 
 
-def _weight_at_depth(ds: Dataset, depth: float) -> float:
-    """Region weight at a query's own depth level.
-
-    Zero depth means the query lies outside every region: weight 1 (capped
-    upstream).  A query deeper than every sample point falls back to the
-    deepest nonempty region.
-    """
-    table = _region_table(ds)
-    if depth < table.levels[0] - _LEVEL_EPS:
-        return 1.0
-    idx = int(np.searchsorted(table.levels, depth - _LEVEL_EPS, side="left"))
-    if idx >= len(table.levels):
-        idx = len(table.levels) - 1
-    return table.entry(idx)[1]
+def _weight_at(ds: Dataset, y: np.ndarray) -> float:
+    """Weight of the region at y's depth, #{i : c_i >= min(c, c_max)} / n with c = count(y):
+    1 outside every region, the deepest region's weight where no c_i reaches c.
+    Levels c / n compare exactly: c_i / n >= c / n iff c_i >= c."""
+    depths = sample_depths(ds)
+    c = int(_min_halfplane_counts(ds.data, y[None, :])[0])
+    k = np.count_nonzero(depths >= c / ds.n) or np.count_nonzero(depths == depths.max())
+    return int(k) / ds.n
 
 
 def rank_function(ds: Dataset, x) -> RankVector:
@@ -234,12 +171,7 @@ def rank_function(ds: Dataset, x) -> RankVector:
         return RankVector(zero, 0.0, zero.copy())
     diff = x - m
     v = diff / np.linalg.norm(diff)
-    cnt = int(_min_halfplane_counts(ds.data, x[None, :])[0])
-    if cnt == 0:
-        p = 1.0
-    else:
-        p = _weight_at_depth(ds, cnt / ds.n)
-    p = min(p, _RANK_CAP)
+    p = min(_weight_at(ds, x), _RANK_CAP)
     return RankVector(p * v, p, v)
 
 
@@ -277,23 +209,14 @@ def quantile_function(ds: Dataset, u) -> np.ndarray:
         return m.copy()
     v = u / nu
     radius = float(np.max(np.linalg.norm(ds.data - m, axis=1)))
-    if radius == 0.0:
+    if radius == 0.0 or _weight_at(ds, m) >= nu:
         return m.copy()
     t_max = 2.0 * radius
-    n = ds.n
-
-    def weight_at(t: float) -> float:
-        y = m + t * v
-        cnt = int(_min_halfplane_counts(ds.data, y[None, :])[0])
-        return 1.0 if cnt == 0 else _weight_at_depth(ds, cnt / n)
-
-    if weight_at(0.0) >= nu:
-        return m.copy()
     lo, hi = 0.0, t_max
     while hi - lo > 1e-6 * t_max:
         mid = 0.5 * (lo + hi)
-        w = weight_at(mid)
-        if abs(w - nu) <= 1.0 / n:
+        w = _weight_at(ds, m + mid * v)
+        if abs(w - nu) <= 1.0 / ds.n:
             return m + mid * v
         if w >= nu:
             hi = mid
@@ -308,11 +231,7 @@ def trimmed_mean(ds: Dataset, alpha: float) -> np.ndarray:
     alpha = float(alpha)
     if alpha <= 0.0:
         raise ValueError("trim level must be positive")
-    depths = sample_depths(ds)
-    sel = ds.data[depths >= alpha - _LEVEL_EPS]
-    if sel.shape[0] == 0:
-        raise EmptyRegionError(f"no sample point has depth >= {alpha}")
-    return sel.mean(axis=0)
+    return ds.data[_members(ds, alpha)].mean(axis=0)
 
 
 def contour_polyline(ds: Dataset, alpha: float) -> np.ndarray:

@@ -18,6 +18,7 @@ DepthConfig's own seed.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -215,8 +216,14 @@ def projection_cutoff(spec: ContaminationSpec, fpr: float, cfg: DepthConfig) -> 
     10 * n_clean drawn from substream (1, 0) of the spec's seed; the upper
     order statistic at rank ceil((1 - fpr) * m) is returned.
     """
-    m = 10 * spec.n_clean
-    cal = spec.seed.generator(1, 0).standard_normal((m, spec.d))
+    return _calibrated_cutoff(spec.seed, spec.n_clean, spec.d, fpr, cfg)
+
+
+@functools.lru_cache(maxsize=32)
+def _calibrated_cutoff(seed: SeedSpec, n_clean: int, d: int, fpr: float, cfg: DepthConfig) -> float:
+    """``projection_cutoff`` on the only inputs it reads: grid cells calibrate once."""
+    m = 10 * n_clean
+    cal = seed.generator(1, 0).standard_normal((m, d))
     k = max(1, math.ceil((1.0 - fpr) * m))
     return float(np.partition(po_profile(cal, cal, cfg), k - 1)[k - 1])
 

@@ -130,3 +130,37 @@ def po_profile_unblocked(data: np.ndarray, queries: np.ndarray, cfg: DepthConfig
     np.abs(ratios, out=ratios)
     ratios /= mad[good, None]
     return ratios.max(axis=0)
+
+
+def points_in_hull(hull: np.ndarray, points: np.ndarray, tol: float | None = None) -> np.ndarray:
+    """Boolean mask of points inside the closed convex polygon ``hull``.
+
+    ``hull`` is a CCW vertex list as produced by :func:`convex_hull`;
+    degenerate hulls (segment, single point) are handled.  ``tol`` is an
+    absolute distance tolerance, by default 1e-9 times the coordinate scale.
+    """
+    hull = np.asarray(hull, dtype=float)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if tol is None:
+        scale = max(1.0, float(np.max(np.abs(hull))) if hull.size else 1.0)
+        tol = 1e-9 * scale
+    k = hull.shape[0]
+    if k == 1:
+        return np.linalg.norm(pts - hull[0], axis=1) <= tol
+    if k == 2:
+        a, b = hull[0], hull[1]
+        d = b - a
+        ln = float(np.linalg.norm(d))
+        rel = pts - a
+        cross = np.abs(rel[:, 0] * d[1] - rel[:, 1] * d[0]) / ln
+        t = rel @ d
+        return (cross <= tol) & (t >= -tol * ln) & (t <= ln * ln + tol * ln)
+    inside = np.ones(pts.shape[0], dtype=bool)
+    for i in range(k):
+        a = hull[i]
+        b = hull[(i + 1) % k]
+        e = b - a
+        ln = float(np.linalg.norm(e))
+        cross = e[0] * (pts[:, 1] - a[1]) - e[1] * (pts[:, 0] - a[0])
+        inside &= cross >= -tol * ln
+    return inside

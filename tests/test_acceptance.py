@@ -25,7 +25,6 @@ from doqr import (
     oh_cdf,
     oh_normal,
     oh_pdf,
-    points_in_hull,
     quantile_function,
     rank_function,
     sample_depths,
@@ -33,7 +32,7 @@ from doqr import (
     trimmed_mean,
 )
 from doqr.cli import main as cli_main
-from oracles import depth_bruteforce
+from oracles import depth_bruteforce, points_in_hull
 
 
 @contextmanager

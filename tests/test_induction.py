@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doqr import (
     Dataset,
@@ -12,7 +14,6 @@ from doqr import (
     doqr_depth,
     max_depth,
     outlyingness,
-    points_in_hull,
     quantile_function,
     rank_function,
     sample_depths,
@@ -21,6 +22,7 @@ from doqr import (
     tukey_median,
 )
 from doqr.induction import _members_at_least
+from oracles import points_in_hull
 
 AXES4 = Dataset([[1, 0], [-1, 0], [0, 1], [0, -1]])
 AXES5 = Dataset([[1, 0], [-1, 0], [0, 1], [0, -1], [0, 0]])
@@ -107,6 +109,63 @@ def test_central_region_examples():
     assert reg.weight == 1 / 5
 
 
+def test_collinear_region_weights_count_members():
+    # float-collinear sample: every point lies within rounding of each region's
+    # segment, so a weight must count the members, not test the hull with a tolerance
+    t = np.random.default_rng(0).standard_normal(9)
+    ds = Dataset(np.stack([t, 2 * t + 1], axis=1))
+    r = np.argsort(np.argsort(t)) + 1
+    counts = np.minimum(r, ds.n - r + 1)  # a point's depth on a line is its 1-D rank depth
+    assert counts.tolist() == [5, 3, 3, 4, 2, 4, 1, 2, 1]
+    weights = [central_region(ds, k / 9).weight for k in range(1, 6)]
+    assert weights == [9 / 9, 7 / 9, 5 / 9, 3 / 9, 1 / 9]
+    assert rank_function(ds, ds.data[counts == 4][0]).p == 3 / 9
+    assert rank_function(ds, ds.data[counts == 2][0]).p == 7 / 9
+    q = quantile_function(ds, 0.5 * np.array([1.0, 2.0]) / np.sqrt(5.0))
+    assert depth_2d_exact(ds, q) == 3 / 9
+    # between the count-4 point at t ~ 0.362 and the count-3 one at t ~ 0.640
+    assert t[5] < q[0] < t[2]
+
+
+def _in_closed_hull(hull: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Exact membership of integer points in the closed hull of integer CCW vertices."""
+    hull, pts = hull.astype(np.int64), pts.astype(np.int64)
+    if hull.shape[0] == 1:
+        return (pts == hull[0]).all(axis=1)
+    edge = np.roll(hull, -1, axis=0) - hull
+    rel = pts[None, :, :] - hull[:, None, :]
+    cross = edge[:, None, 0] * rel[:, :, 1] - edge[:, None, 1] * rel[:, :, 0]  # (edges, points)
+    inside = (cross >= 0).all(axis=0)
+    if hull.shape[0] == 2:  # a segment: on its line and within its box
+        lo, hi = hull.min(axis=0), hull.max(axis=0)
+        inside = (cross[0] == 0) & ((pts >= lo) & (pts <= hi)).all(axis=1)
+    return inside
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=13))
+def test_region_weights_count_closed_hull(points):
+    # small integer samples: duplicates and exact collinearity are common
+    ds = Dataset(np.array(points, dtype=float))
+    counts = np.rint(sample_depths(ds) * ds.n).astype(int)
+    m, _ = tukey_median(ds)
+    weight, prev = {}, None
+    for c in np.unique(counts):
+        reg = central_region(ds, c / ds.n)
+        members = ds.data[counts >= c]
+        # the vertices are members and every member lies in their closed hull
+        assert (reg.vertices[:, None, :] == members).all(axis=2).any(axis=1).all()
+        assert _in_closed_hull(reg.vertices, members).all()
+        assert reg.weight == np.count_nonzero(_in_closed_hull(reg.vertices, ds.data)) / ds.n
+        if prev is not None:  # nested: the deeper region lies in the shallower one, weighs less
+            assert _in_closed_hull(prev.vertices, reg.vertices).all()
+            assert reg.weight < prev.weight
+        weight[c], prev = reg.weight, reg
+    for x, c in zip(ds.data, counts):
+        want = 0.0 if (x == m).all() else min(weight[c], CAP)
+        assert rank_function(ds, x).p == want
+
+
 def test_central_region_level_validation():
     with pytest.raises(ValueError):
         central_region(AXES5, 0.0)
@@ -127,6 +186,10 @@ def test_rank_function_examples():
     assert np.array_equal(rv.v, [1.0, 0.0])
     assert rv.p == CAP
     assert np.allclose(rv.u, [CAP, 0.0])
+    # deeper than every sample point: the deepest nonempty region's weight
+    ds = Dataset([[2, 2], [2, -2], [-2, 2], [-2, -2], [1, 0], [-1, 0], [0, 1], [0, -1]])
+    assert depth_2d_exact(ds, [0.1, 0.0]) > sample_depths(ds).max()
+    assert rank_function(ds, [0.1, 0.0]).p == 4 / 8
 
 
 def test_outlyingness_examples_and_monotone_along_ray():

@@ -20,6 +20,7 @@ from doqr import (
     sample_contaminated,
     sample_depths,
 )
+from doqr.projection import po_profile
 
 CFG = DepthConfig(500, SeedSpec(12345))
 
@@ -264,6 +265,35 @@ def test_compare_identifiers_single_cell_consistency():
     rep = masking_experiment(spec, fpr=0.02, n_trials=12, cfg=CFG)
     assert cells[0].masking_rate_halfspace == rep.summary("halfspace").masking_rate
     assert cells[0].masking_rate_projection == rep.summary("projection").masking_rate
+
+
+def test_compare_identifiers_calibrates_once(monkeypatch):
+    # the cutoff reads only (seed, n_clean, d, fpr, cfg), which the cells share
+    import doqr.outliers as outliers
+
+    sizes = []
+
+    def counted(data, queries, cfg):
+        sizes.append(data.shape[0])
+        return po_profile(data, queries, cfg)
+
+    grid, cfg = default_masking_grid(), DepthConfig(50)
+    outliers._calibrated_cutoff.cache_clear()
+    monkeypatch.setattr(outliers, "po_profile", counted)
+    cells = compare_identifiers(grid, 20, 0.01, 1, cfg)
+    assert sizes.count(200) == 1 and len(sizes) == 1 + len(grid)
+    for cell, (d, n_out, dist) in zip(cells, grid):
+        outliers._calibrated_cutoff.cache_clear()
+        spec = ContaminationSpec(
+            n_clean=20, d=d, n_outliers=n_out, outlier_center=(dist, 0.0), outlier_spread=0.1
+        )
+        rep = masking_experiment(spec, 0.01, 1, cfg)
+        for method in ("halfspace", "projection"):
+            s = rep.summary(method)
+            fields = ("masking_rate", "fp_rate", "threshold")
+            got = tuple(getattr(cell, f"{f}_{method}") for f in fields)
+            assert got == (s.masking_rate, s.mean_fp_rate, s.threshold)
+    assert sizes.count(200) == 1 + len(grid)
 
 
 def test_compare_identifiers_zero_outlier_grid():
