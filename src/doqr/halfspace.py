@@ -14,7 +14,9 @@ covers a closed semicircle of point angles, so the minimal closed count
 equals n' minus the maximal number of angles inside an open semicircle, and
 the maximizing open semicircle can be anchored just below one of the point
 angles: max over i of #{j : angle_j in [angle_i, angle_i + pi)}.  With the
-angles sorted, one vectorized pass of binary searches evaluates all anchors.
+angles sorted, the semicircle bounds are sorted too, and one stable merge of
+the bounds with the angles per query, then a running count of the angles,
+evaluates all anchors.
 """
 
 from __future__ import annotations
@@ -28,11 +30,11 @@ from .data import Dataset, SeedSpec, as_point
 
 _TWO_PI = 2.0 * np.pi
 # Padding value for angle slots of points coincident with the query.  It must
-# exceed every semicircle bound (< 3*pi) and stay below the per-row offset
-# used to emulate row-wise searchsorted on flattened arrays.
+# sort after every valid angle and sweep key (< 2*pi).
 _SENTINEL = 10.0
-_ROW_OFFSET = 16.0
-_CHUNK_BUDGET = 800_000  # array elements per work chunk in the batch kernels
+# Array elements per work block in the batch kernels: a block's buffers stay
+# within a per-core cache.
+_CHUNK_BUDGET = 32_768
 # Angular resolution: angle separations within this of exactly pi are treated
 # as exactly antipodal.  Queries constructed from the data (midpoints, line
 # intersections) yield difference vectors that are antipodal/collinear up to
@@ -148,48 +150,61 @@ def depth_1d(ds: Dataset, x: float) -> float:
 
 
 def _min_halfplane_counts(data: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Exact min closed-halfplane counts (depth * n) for many 2-D queries."""
-    n = data.shape[0]
-    m = queries.shape[0]
+    """Exact min closed-halfplane counts (depth * n) for many 2-D queries.
+
+    Each query is one row, sorted and merged on its own, so its count does not
+    depend on the other queries.  Rows go in blocks of about _CHUNK_BUDGET merged
+    entries through buffers allocated once per call: memory is O(block + n + m).
+    """
+    n, m = data.shape[0], queries.shape[0]
     out = np.empty(m, dtype=np.int64)
-    chunk = max(1, _CHUNK_BUDGET // max(n, 1))
-    for s in range(0, m, chunk):
-        out[s : s + chunk] = _counts_chunk(data, queries[s : s + chunk])
+    step = _block_rows(max(m, 1), 2 * n)
+    merged, cum = np.empty((step, 2 * n)), np.empty((step, 2 * n), dtype=np.int64)
+    tmp, coincident = np.empty((step, n)), np.empty((step, n), dtype=bool)
+    flags = np.empty((step, 2 * n), dtype=bool)
+    for s in range(0, m, step):
+        q = queries[s : s + step]
+        c = q.shape[0]
+        key, alpha, t = merged[:c, :n], merged[:c, n:], tmp[:c]
+        co, b = coincident[:c], flags[:c, :n]
+        x, y = key, t  # the differences, until the angles are taken
+        np.subtract(data[:, 0], q[:, :1], out=x)
+        np.subtract(data[:, 1], q[:, 1:], out=y)
+        np.logical_and(np.equal(x, 0.0, out=co), np.equal(y, 0.0, out=b), out=co)
+        m0 = co.sum(axis=1)
+        nprime = n - m0  # valid (noncoincident) points per row
+        np.arctan2(y, x, out=alpha)
+        alpha += np.multiply(np.less(alpha, 0.0, out=b), _TWO_PI, out=t)  # np.mod's rounding
+        alpha[np.greater_equal(alpha, _TWO_PI, out=b)] = 0.0
+        alpha[co] = _SENTINEL
+        alpha.sort(axis=1)  # valid angles first, sentinels last
+
+        # Anchor i counts the angles in [alpha_i, b_i) and below b_i - 2*pi, with
+        # the bound b_i = alpha_i + pi - _GAP_EPS: angles within _GAP_EPS of
+        # exactly pi away count as antipodal and fall outside the open semicircle.
+        # Valid angles lie in [0, 2*pi), so below b_i < 2*pi nothing wraps, and
+        # from b_i >= 2*pi on all n' angles lie below b_i: one comparison per
+        # anchor, with the key b_i or b_i - 2*pi.  Sorted angles give sorted
+        # bounds, so the keys are two sorted runs (then the coincident points'),
+        # and one stable argsort merges them with the sorted angles.  Keys come
+        # first, so a key tied with angles counts only those strictly below it.
+        np.add(alpha, np.pi - _GAP_EPS, out=key)
+        high = np.greater_equal(key, _TWO_PI, out=b)  # a suffix of each row
+        low = n - high.sum(axis=1)
+        key -= np.multiply(high, _TWO_PI, out=t)
+        key[np.equal(alpha, _SENTINEL, out=b)] = -np.inf  # coincident points anchor nothing
+        order = merged[:c].argsort(axis=1, kind="stable")
+        cu = np.cumsum(np.greater_equal(order, n, out=flags[:c]), axis=1, out=cum[:c])
+        # After the running count of angles, the key of a valid anchor i scores
+        # its semicircle, #{angles < key_i} - i (+ n' when high), which holds at
+        # least its own angle; angle j scores (j + 1) - (n + j) + n' = 1 - m0 and
+        # a coincident anchor o >= n' scores n' - o <= 0.  So the row max is the
+        # fullest semicircle (0 when n' = 0).
+        cu -= order
+        plus = np.greater_equal(order, low[:, None], out=flags[:c])  # high keys, angles
+        cu += np.multiply(plus, nprime[:, None], out=order)
+        out[s : s + c] = m0 + (nprime - cu.max(axis=1))
     return out
-
-
-def _counts_chunk(data: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    c, n = queries.shape[0], data.shape[0]
-    w = data[None, :, :] - queries[:, None, :]  # (c, n, 2)
-    coincident = (w[:, :, 0] == 0.0) & (w[:, :, 1] == 0.0)
-    m0 = coincident.sum(axis=1)
-    nprime = n - m0  # valid (noncoincident) points per row
-
-    alpha = np.arctan2(w[:, :, 1], w[:, :, 0])
-    alpha = np.mod(alpha, _TWO_PI)
-    alpha[alpha >= _TWO_PI] = 0.0
-    alpha[coincident] = _SENTINEL
-    alpha.sort(axis=1)  # valid angles first, sentinels last
-
-    # For each anchor i, count angles in the half-open semicircle
-    # [alpha_i, alpha_i + pi), split into the linear part [alpha_i, b) and
-    # the wrapped part [0, b - 2*pi).  Angles within _GAP_EPS of exactly
-    # pi away count as antipodal and fall outside the open semicircle.
-    # Row-wise searchsorted runs as one flattened call: row r is shifted by
-    # r * _ROW_OFFSET, which exceeds every bound (< 3*pi) and the sentinel.
-    base = _ROW_OFFSET * np.arange(c)
-    flat_alpha = (alpha + base[:, None]).ravel()
-    bound = alpha + (np.pi - _GAP_EPS)
-    hi = np.searchsorted(flat_alpha, (bound + base[:, None]).ravel(), side="left")
-    wrap = np.searchsorted(
-        flat_alpha, (bound - _TWO_PI + base[:, None]).ravel(), side="left"
-    )
-    row_start = np.repeat(np.arange(c) * n, n)
-    col = np.tile(np.arange(n), c)
-    semi = (hi - row_start - col) + (wrap - row_start)
-    semi = semi.reshape(c, n)
-    semi[~(np.arange(n)[None, :] < nprime[:, None])] = 0  # sentinel anchors
-    return m0 + (nprime - semi.max(axis=1))
 
 
 def depth_2d_exact(ds: Dataset, x) -> float:
@@ -246,6 +261,61 @@ def _tail_bound(pts: np.ndarray, cands: np.ndarray, u: complex) -> np.ndarray:
     le = np.searchsorted(s, p + tol, side="right")
     ge = pts.shape[0] - np.searchsorted(s, p - tol, side="left")
     return np.minimum(le, ge)
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def convex_hull(points: np.ndarray) -> np.ndarray:
+    """Counterclockwise convex hull by monotone chain.
+
+    Degenerate inputs are allowed: one vertex for a single distinct point,
+    the two extreme points for collinear data.
+    """
+    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    if pts.shape[0] == 1:
+        return pts
+    pts = pts.tolist()  # unique rows come sorted by (x, y); float arithmetic, fast loop
+
+    def build(seq):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0.0:
+                chain.pop()
+            chain.append(p)
+        return chain
+
+    lower = build(pts)
+    upper = build(pts[::-1])
+    return np.array(lower[:-1] + upper[:-1])
+
+
+def _members_at_least(data: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the 2-D sample points whose exact count (depth * n) is >= k.
+
+    Projection tail counts bound every count from above and drop the points
+    that cannot reach k; the hull vertices of the rest are swept exactly, and
+    those below k are peeled until every hull vertex passes.  The region
+    {x : count >= k} is convex, so every point left inside that hull is a member.
+    """
+    n = data.shape[0]
+    if k <= 1:  # a sample point always counts itself
+        return np.ones(n, dtype=bool)
+    ub = np.full(n, n)
+    for u in _BOUND_DIRS:
+        ub = np.minimum(ub, _tail_bound(data, data, u))
+    live, passed = ub >= k, np.zeros(n, dtype=bool)
+    while live.any():
+        hull = convex_hull(data[live])
+        # every copy of a hull vertex, not yet swept
+        idx = np.flatnonzero(live & ~passed & (data[:, None, :] == hull).all(axis=2).any(axis=1))
+        ok = _min_halfplane_counts(data, data[idx]) >= k
+        passed[idx[ok]] = True
+        if ok.all():
+            break
+        live[idx[~ok]] = False
+    return live
 
 
 def _enumerated_median(pts: np.ndarray) -> tuple[np.ndarray, int]:
@@ -332,7 +402,13 @@ def _tukey_median_cached(ds: Dataset) -> tuple[tuple[float, float], int]:
     if ds.n <= _ENUM_LIMIT:
         best_pt, best_cnt = _enumerated_median(ds.data)
     else:
-        best_pt, best_cnt = _tie_break_best(*_search_pool(ds.data))
+        pool, counts = _search_pool(ds.data)
+        # the sample points reaching the search's best count compete too
+        deep = ds.data[_members_at_least(ds.data, int(counts.max()))]
+        best_pt, best_cnt = _tie_break_best(
+            np.concatenate([pool, deep]),
+            np.concatenate([counts, _min_halfplane_counts(ds.data, deep)]),
+        )
     return (float(best_pt[0]), float(best_pt[1])), best_cnt
 
 
@@ -344,8 +420,8 @@ def tukey_median(ds: Dataset) -> tuple[np.ndarray, float]:
     depth is piecewise constant; every candidate that can reach the maximal
     count is swept exactly.  Beyond that a deterministic seeded multi-start
     pattern search on a shrinking grid is used, and the point it returns may
-    not be deepest.  Ties break toward the smallest Euclidean norm, then
-    lexicographic coordinates.
+    not be deepest, but no sample point is deeper.  Ties break toward the
+    smallest Euclidean norm, then lexicographic coordinates.
     """
     _require_dim(ds, 2, "tukey_median")
     (px, py), cnt = _tukey_median_cached(ds)

@@ -21,9 +21,8 @@ import numpy as np
 
 from .data import Dataset, as_point
 from .halfspace import (
-    _BOUND_DIRS,
     _min_halfplane_counts,
-    _tail_bound,
+    convex_hull,
     max_depth,
     sample_depths,
     tukey_median,
@@ -60,61 +59,6 @@ class RankVector:
     def __post_init__(self):
         self.u.setflags(write=False)
         self.v.setflags(write=False)
-
-
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def convex_hull(points: np.ndarray) -> np.ndarray:
-    """Counterclockwise convex hull by monotone chain.
-
-    Degenerate inputs are allowed: one vertex for a single distinct point,
-    the two extreme points for collinear data.
-    """
-    pts = np.unique(np.asarray(points, dtype=float), axis=0)
-    if pts.shape[0] == 1:
-        return pts
-    pts = pts.tolist()  # unique rows come sorted by (x, y); float arithmetic, fast loop
-
-    def build(seq):
-        chain = []
-        for p in seq:
-            while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0.0:
-                chain.pop()
-            chain.append(p)
-        return chain
-
-    lower = build(pts)
-    upper = build(pts[::-1])
-    return np.array(lower[:-1] + upper[:-1])
-
-
-def _members_at_least(data: np.ndarray, k: int) -> np.ndarray:
-    """Mask of the 2-D sample points whose exact count (depth * n) is >= k.
-
-    Projection tail counts bound every count from above and drop the points
-    that cannot reach k; the hull vertices of the rest are swept exactly, and
-    those below k are peeled until every hull vertex passes.  The region
-    {x : count >= k} is convex, so every point left inside that hull is a member.
-    """
-    n = data.shape[0]
-    if k <= 1:  # a sample point always counts itself
-        return np.ones(n, dtype=bool)
-    ub = np.full(n, n)
-    for u in _BOUND_DIRS:
-        ub = np.minimum(ub, _tail_bound(data, data, u))
-    live, passed = ub >= k, np.zeros(n, dtype=bool)
-    while live.any():
-        hull = convex_hull(data[live])
-        # every copy of a hull vertex, not yet swept
-        idx = np.flatnonzero(live & ~passed & (data[:, None, :] == hull).all(axis=2).any(axis=1))
-        ok = _min_halfplane_counts(data, data[idx]) >= k
-        passed[idx[ok]] = True
-        if ok.all():
-            break
-        live[idx[~ok]] = False
-    return live
 
 
 def _require_2d(ds: Dataset, op: str) -> None:

@@ -27,8 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, SeedSpec
-from .halfspace import DepthConfig, sample_approx_counts
-from .induction import _members_at_least
+from .halfspace import DepthConfig, _members_at_least, sample_approx_counts
 from .normal import chi2_quantile, oh_threshold
 from .projection import po_profile
 

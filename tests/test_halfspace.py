@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from doqr import (
     DepthConfig,
     SeedSpec,
     affine_transform,
+    central_region,
     depth_1d,
     depth_2d_exact,
     depth_approx,
@@ -14,8 +18,10 @@ from doqr import (
     tukey_median,
     unit_directions,
 )
+from doqr import halfspace
 from doqr.halfspace import (
     _BOUND_DIRS,
+    _line_intersections,
     _min_halfplane_counts,
     _tail_bound,
     _tie_break_best,
@@ -50,6 +56,105 @@ def test_depth_2d_exact_examples():
     assert depth_2d_exact(AXES4, [5, 5]) == 0.0
     with pytest.raises(ValueError):
         depth_2d_exact(Dataset([1.0, 2.0]), [0, 0])
+
+
+def test_batched_count_ignores_row_position():
+    # two points 1e-9 rad off antipodal around the origin: the batched count of
+    # every copy of the origin is the single query's 0, wherever its row lies
+    pts = np.array([[1.0, 0.0], [-1.0, 1.000953664738599e-09]])
+    assert depth_2d_exact(Dataset(pts), [0.0, 0.0]) == 0.0
+    assert not _min_halfplane_counts(pts, np.zeros((3000, 2))).any()
+
+
+def test_semicircle_bound_tie_counts_antipodal():
+    # a point at angle pi - _GAP_EPS from another lies exactly on the bound of
+    # that one's semicircle and counts as antipodal: outside the open semicircle
+    c = np.pi - 1e-9
+    p = [np.cos(c), np.sin(c)]
+    assert np.arctan2(p[1], p[0]) == c
+    for k in (1, 20, 300):
+        data = np.array([[1.0, 0.0]] * k + [p] * k)
+        assert _min_halfplane_counts(data, np.zeros((1, 2)))[0] == k
+
+
+def sweep_families(rng: np.random.Generator, n: int):
+    x = rng.standard_normal((n, 2))
+    t = rng.standard_normal(n)
+    yield x
+    yield np.round(x, 1)
+    yield x[rng.integers(0, n // 5 + 1, n)]  # duplicate-heavy
+    yield np.stack([t, 0.5 * t + 0.3], axis=1)  # collinear
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])
+def test_batched_counts_match_single_queries(rows, monkeypatch):
+    # a block of one row, a few rows or the default budget: every batched count
+    # is the query's count alone
+    rng = np.random.default_rng(29)
+    for n in (1, 7, 45, 160):
+        for data in sweep_families(rng, n):
+            i, j = rng.integers(0, n, (2, n))
+            queries = np.concatenate(
+                [data, 0.5 * (data[i] + data[j]), rng.standard_normal((20, 2)), np.zeros((1, 2))]
+            )
+            single = [_min_halfplane_counts(data, q[None, :])[0] for q in queries]
+            if rows is not None:
+                monkeypatch.setattr(halfspace, "_CHUNK_BUDGET", rows * 2 * n)
+            assert np.array_equal(_min_halfplane_counts(data, queries), single)
+            monkeypatch.undo()
+
+
+def kernel_cases():
+    """(data, queries) pairs: five families (general position, rounded to 1
+    decimal, duplicate-heavy, half on one line, scaled by 1e6 and shifted by
+    1e7) at n = 9, 40 and 130; queries at the sample points, midpoints of
+    random pairs and random points, plus the line intersections at n = 9."""
+    out = []
+    for i, n in enumerate((9, 40, 130) * 5):
+        rng = np.random.default_rng([61, i])
+        x, q = rng.standard_normal((n, 2)), 1.5 * rng.standard_normal((n, 2))
+        kind = i // 3
+        if kind == 1:
+            x = np.round(x, 1)
+        elif kind == 2:
+            x = x[rng.integers(0, n // 4 + 1, n)]
+        elif kind == 3:
+            t = rng.standard_normal(n // 2)
+            x[: n // 2] = np.stack([t, 0.5 * t + 0.3], axis=1)
+        elif kind == 4:
+            x, q = 1e6 * x + 1e7, 1e6 * q + 1e7
+        a, b = rng.integers(0, n, (2, n))
+        queries = [x, 0.5 * (x[a] + x[b]), q]
+        if n == 9:
+            queries.append(_line_intersections(x))
+        out.append((x, np.concatenate(queries)))
+    return out
+
+
+def test_kernel_golden():
+    # SHA-256 of the 5333 counts as little-endian int64, pinned from the
+    # binary-search sweep this merge sweep replaced: the same counts, bit for bit
+    h = hashlib.sha256()
+    for x, q in kernel_cases():
+        h.update(_min_halfplane_counts(x, q).astype("<i8").tobytes())
+    assert h.hexdigest() == "d33fcafdb3be05478eb0360bfb45951727e7a5638b2c70d2009da4a9f998f403"
+
+
+def test_kernel_memory_is_one_block():
+    # about _CHUNK_BUDGET merged entries a block, in buffers of at most 8 bytes
+    # an entry, and O(n + m) vectors: never an (m, n) array (64 MB here)
+    x = np.random.default_rng(2).standard_normal((2000, 2))
+    _min_halfplane_counts(x, x)  # warm
+    n = m = len(x)
+    bound = 8 * (6 * halfspace._CHUNK_BUDGET + 4 * (n + m))  # bytes
+    assert bound < 4e6
+    tracemalloc.start()
+    try:
+        _min_halfplane_counts(x, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_depth_bruteforce_examples():
@@ -248,6 +353,29 @@ def test_tukey_median_search_branch():
     assert np.array_equal(m1, m2) and d1 == d2
     assert d1 >= sample_depths(ds).max()
     assert d1 >= np.ceil(ds.n / 3) / ds.n
+
+
+def half_on_a_line(i: int, n: int = 400) -> Dataset:
+    r = np.random.default_rng([77, i])
+    x = r.standard_normal((n, 2))
+    t = r.standard_normal(n // 2)
+    x[: n // 2] = np.stack([t, 0.5 * t + 0.3], axis=1)
+    return Dataset(x)
+
+
+def test_tukey_median_search_reaches_every_sample_point():
+    # half the sample on a line, n = 400: on the first sample the pattern
+    # search alone stops at 170/400, below sample point 11's 175/400, and
+    # central_region refused the sample's own deepest level
+    ds = half_on_a_line(33)
+    m, dep = tukey_median(ds)
+    assert dep == 175 / 400 and np.array_equal(m, ds.data[11])
+    for i in (33, 0, 1, 2, 3):
+        ds = half_on_a_line(i)
+        m, dep = tukey_median(ds)
+        top = sample_depths(ds).max()
+        assert dep >= top and depth_2d_exact(ds, m) == dep
+        assert central_region(ds, top).weight >= 1 / ds.n
 
 
 def median_samples() -> list[np.ndarray]:

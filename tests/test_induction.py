@@ -21,7 +21,7 @@ from doqr import (
     trimmed_mean,
     tukey_median,
 )
-from doqr.induction import _members_at_least
+from doqr.halfspace import _members_at_least
 from oracles import points_in_hull
 
 AXES4 = Dataset([[1, 0], [-1, 0], [0, 1], [0, -1]])
