@@ -112,9 +112,8 @@ class Dataset:
     def __eq__(self, other):
         if not isinstance(other, Dataset):
             return NotImplemented
-        return self._data.shape == other._data.shape and np.array_equal(
-            self._data, other._data
-        )
+        a, b = self._data, other._data
+        return a.shape == b.shape and a.tobytes() == b.tobytes()  # as hashed: -0.0 != +0.0
 
     def __hash__(self):
         h = self._hash

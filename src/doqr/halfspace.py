@@ -1,5 +1,5 @@
 """Halfspace (Tukey) depth: exact 1-D/2-D evaluation, direction-sampled
-approximation for any dimension, and deepest-point search.
+approximation for any dimension, and the exact Tukey median.
 
 Conventions, fixed across the module:
 
@@ -50,7 +50,6 @@ _GAP_EPS = 1e-9
 _BOUND_TOL = 1e-7
 
 _ENUM_LIMIT = 60      # up to this n the deepest point is found by enumeration
-_SEARCH_SEED = 710517  # fixed seed for the multi-start search fallback
 _BOUND_SEEDS = 64     # candidates nearest the coordinatewise median swept first
 # the median bound's 32 evenly spaced directions, bit-reversed: each far from those before
 _BOUND_DIRS = np.exp(1j * np.pi * np.array([int(f"{i:05b}"[::-1], 2) for i in range(32)]) / 32)
@@ -149,19 +148,23 @@ def depth_1d(ds: Dataset, x: float) -> float:
     return min(le, ge) / ds.n
 
 
-def _min_halfplane_counts(data: np.ndarray, queries: np.ndarray) -> np.ndarray:
+def _min_halfplane_counts(data: np.ndarray, queries: np.ndarray, window=None):
     """Exact min closed-halfplane counts (depth * n) for many 2-D queries.
 
     Each query is one row, sorted and merged on its own, so its count does not
     depend on the other queries.  Rows go in blocks of about _CHUNK_BUDGET merged
     entries through buffers allocated once per call: memory is O(block + n + m).
+
+    With ``window`` = (floor, top) it also returns (row, angle, S, m0) arrays of
+    the semicircle counts S <= top with S + m0 - 1 >= max(floor, counts so far).
     """
     n, m = data.shape[0], queries.shape[0]
-    out = np.empty(m, dtype=np.int64)
+    (floor, top), out, found = window or (0, None), np.empty(m, dtype=np.int64), []
     step = _block_rows(max(m, 1), 2 * n)
     merged, cum = np.empty((step, 2 * n)), np.empty((step, 2 * n), dtype=np.int64)
     tmp, coincident = np.empty((step, n)), np.empty((step, n), dtype=bool)
     flags = np.empty((step, 2 * n), dtype=bool)
+    prod = None if top is None else np.empty_like(cum)  # keeps order, the anchors' indices
     for s in range(0, m, step):
         q = queries[s : s + step]
         c = q.shape[0]
@@ -196,15 +199,20 @@ def _min_halfplane_counts(data: np.ndarray, queries: np.ndarray) -> np.ndarray:
         order = merged[:c].argsort(axis=1, kind="stable")
         cu = np.cumsum(np.greater_equal(order, n, out=flags[:c]), axis=1, out=cum[:c])
         # After the running count of angles, the key of a valid anchor i scores
-        # its semicircle, #{angles < key_i} - i (+ n' when high), which holds at
-        # least its own angle; angle j scores (j + 1) - (n + j) + n' = 1 - m0 and
-        # a coincident anchor o >= n' scores n' - o <= 0.  So the row max is the
-        # fullest semicircle (0 when n' = 0).
+        # its semicircle S_i = #{angles < key_i} - i (+ n' when high), >= 1 for
+        # its own angle; angle j scores (j + 1) - (n + j) + n' = 1 - m0 and a
+        # coincident anchor o >= n' scores n' - o <= 0.  So the row max is the
+        # fullest semicircle (0 when n' = 0), and a score >= 1 is an anchor's.
         cu -= order
         plus = np.greater_equal(order, low[:, None], out=flags[:c])  # high keys, angles
-        cu += np.multiply(plus, nprime[:, None], out=order)
+        cu += np.multiply(plus, nprime[:, None], out=order if top is None else prod[:c])
         out[s : s + c] = m0 + (nprime - cu.max(axis=1))
-    return out
+        if top is not None:
+            floor = max(floor, int(out[s : s + c].max()))
+            lo = np.maximum(floor + 1 - m0, 1)[:, None]
+            r, p = np.divmod(np.flatnonzero((cu >= lo) & (cu <= top)), 2 * n)
+            found.append((r + s, alpha[r, order[r, p]], cu[r, p], m0[r]))
+    return out if top is None else (out, tuple(np.concatenate(f) for f in zip(*found)))
 
 
 def depth_2d_exact(ds: Dataset, x) -> float:
@@ -302,9 +310,7 @@ def _members_at_least(data: np.ndarray, k: int) -> np.ndarray:
     n = data.shape[0]
     if k <= 1:  # a sample point always counts itself
         return np.ones(n, dtype=bool)
-    ub = np.full(n, n)
-    for u in _BOUND_DIRS:
-        ub = np.minimum(ub, _tail_bound(data, data, u))
+    ub = np.min([_tail_bound(data, data, u) for u in _BOUND_DIRS], axis=0)
     live, passed = ub >= k, np.zeros(n, dtype=bool)
     while live.any():
         hull = convex_hull(data[live])
@@ -347,81 +353,109 @@ def _enumerated_median(pts: np.ndarray) -> tuple[np.ndarray, int]:
     return best_pt, best_cnt
 
 
-_SEARCH_OFFSETS = np.array(
-    [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [1, -1], [-1, 1], [-1, -1]],
-    dtype=float,
-)
-
-
-def _search_pool(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Multi-start pattern search on a shrinking grid; returns all evaluations.
-
-    Bounded iteration budget: each pass either moves every improvable start
-    to its best compass neighbour or halves the step; improvement passes per
-    step scale are capped so large samples (depth increments of 1/n) cannot
-    stall the shrinkage.
-    """
-    rng = np.random.default_rng(_SEARCH_SEED)
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
-    span = float(max(hi[0] - lo[0], hi[1] - lo[1]))
-    cmed = np.array([np.median(pts[:, 0]), np.median(pts[:, 1])])
-    near = pts[np.argsort(((pts - cmed) ** 2).sum(axis=1))[:8]]
-    starts = np.concatenate(
-        [cmed[None, :], pts.mean(axis=0)[None, :], near, lo + rng.random((8, 2)) * (hi - lo)]
-    )
-    if span == 0.0:
-        return starts[:1], _min_halfplane_counts(pts, starts[:1])
-    pool_pts = [starts.copy()]
-    cur = starts
-    cur_counts = _min_halfplane_counts(pts, cur)
-    pool_counts = [cur_counts.copy()]
-    h = span / 4.0
-    moves_at_scale = 0
-    for _ in range(64):
-        if h <= 1e-7 * span:
+def _clip(poly: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """Convex ``poly`` cut by a x <= b + tol (unit normals a), the most violated first."""
+    while len(poly) and len(a):
+        s = poly @ a.T - b
+        s = s[:, s.max(axis=0).argmax()]
+        if s.max() <= tol:
             break
-        trial = (cur[:, None, :] + h * _SEARCH_OFFSETS[None, :, :]).reshape(-1, 2)
-        tc = _min_halfplane_counts(pts, trial).reshape(cur.shape[0], 8)
-        pool_pts.append(trial)
-        pool_counts.append(tc.ravel())
-        best = tc.max(axis=1)
-        improved = best > cur_counts
-        if np.any(improved) and moves_at_scale < 8:
-            pick = tc.argmax(axis=1)
-            cur = np.where(improved[:, None], cur + h * _SEARCH_OFFSETS[pick], cur)
-            cur_counts = np.maximum(cur_counts, best)
-            moves_at_scale += 1
-        else:
-            h *= 0.5
-            moves_at_scale = 0
-    return np.concatenate(pool_pts), np.concatenate(pool_counts)
+        inside = s <= tol  # kept, with the edges' crossings of a x = b
+        cross = inside != np.roll(inside, -1)
+        t = np.clip(s / np.where(cross, s - np.roll(s, -1), 1.0), 0.0, 1.0)[:, None]
+        cut = np.stack([poly, poly + t * (np.roll(poly, -1, axis=0) - poly)], axis=1)
+        poly = cut[np.stack([inside, cross], axis=1)]
+    return poly
+
+
+def _centroid(poly: np.ndarray) -> np.ndarray:
+    """Area centroid of a convex polygon; the vertex mean when it is thinner than 1e-6."""
+    c = poly - poly.mean(axis=0)
+    cr = c[:, 0] * np.roll(c[:, 1], -1) - np.roll(c[:, 0], -1) * c[:, 1]
+    if cr.sum() <= 1e-6 * np.ptp(c, axis=0).max() ** 2:
+        return poly.mean(axis=0)
+    return poly.mean(axis=0) + (c + np.roll(c, -1, axis=0)).T @ cr / (3 * cr.sum())
+
+
+def _levels(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Sample counts, and a deepest point with its count, from one self-depth pass.
+
+    D_k = {x : count >= k} is the intersection of the closed halfplanes right of
+    the lines (pivot, angle) with semicircle count S <= k <= S + m0 - 1 (S - 1
+    points left of the line in general position; m0, the pivot's copies, covers
+    collinear points behind it).  The pass keeps the levels from the count c0 at
+    the centroid of the deepest meeting of the slabs between the k-th smallest
+    and largest projections on _BOUND_DIRS (they contain D_k) up to that level.
+    The largest level whose region's centroid sweeps >= k is bisected, and that
+    centroid returned; if it sweeps below (no interior), the best of it, the slab
+    centroid and the deepest sample points.
+    """
+    mid, n, found = pts.mean(axis=0), len(pts), {}
+    q = pts - mid  # exact for data within a factor 2 of their mean, as when shifted
+    tol, ext = 1e-12 * np.abs(q).max(), np.stack([q.min(axis=0), q.max(axis=0)])
+    box = np.stack([ext[[0, 1, 1, 0], 0], ext[[0, 0, 1, 1], 1]], axis=1)  # counterclockwise
+
+    def largest(lo: int, hi: int, test) -> int:  # by bisection, lo taken to pass
+        while lo < hi:
+            k = (lo + hi + 1) // 2
+            lo, hi = (k, hi) if test(k) else (lo, k - 1)
+        return lo
+
+    def centre(key, a: np.ndarray, b: np.ndarray):  # the box cut by a x <= b: centroid, count
+        if key not in found:
+            poly = _clip(box, a, b, tol)
+            x = _centroid(poly) + mid if len(poly) else mid
+            found[key] = x, int(_min_halfplane_counts(pts, x[None, :])[0]) if len(poly) else -1
+        return found[key]
+
+    u = np.stack([_BOUND_DIRS.real, _BOUND_DIRS.imag], axis=1)
+    u, proj = np.concatenate([u, -u]), np.sort(q @ u.T, axis=0)
+    slab = lambda k: centre(-k, u, np.concatenate([proj[n - k], -proj[k - 1]]))  # noqa: E731
+    top = largest(-(-n // 3), n, lambda k: slab(k)[1] >= 0)  # centerpoints: D_ceil(n/3) is nonempty
+    c0 = slab(top)[1]
+    counts, (piv, ang, s, m0) = _min_halfplane_counts(pts, pts, (c0, top))
+    span = s + m0 - 1
+    a = np.stack([-np.sin(ang), np.cos(ang)], axis=1)
+    b = (a * q[piv]).sum(axis=1)
+
+    def reaches(k: int) -> bool:
+        on = (s <= k) & (span >= k)
+        return centre(k, a[on], b[on])[1] >= k
+
+    lo = largest(max(int(counts.max()), c0), top, reaches)  # top >= k*: D_k lies in its slabs
+    if reaches(lo):
+        return counts, *found[lo]
+    pairs = [found[lo], found[-top], *zip(pts[counts == lo], counts[counts == lo])]
+    return counts, *_tie_break_best(*map(np.array, zip(*pairs)))
+
+
+@functools.lru_cache(maxsize=64)
+def _self_depths(ds: Dataset):
+    """Read-only sample depths, and past _ENUM_LIMIT the [point, count] median of the pass."""
+    data = ds.data
+    counts, *median = _levels(data) if ds.n > _ENUM_LIMIT else (_min_halfplane_counts(data, data),)
+    depths = counts / ds.n
+    depths.setflags(write=False)
+    return depths, median
 
 
 @functools.lru_cache(maxsize=64)
 def _tukey_median_cached(ds: Dataset) -> tuple[tuple[float, float], int]:
-    if ds.n <= _ENUM_LIMIT:
-        best_pt, best_cnt = _enumerated_median(ds.data)
-    else:
-        pool, counts = _search_pool(ds.data)
-        # the sample points reaching the search's best count compete too
-        deep = ds.data[_members_at_least(ds.data, int(counts.max()))]
-        best_pt, best_cnt = _tie_break_best(
-            np.concatenate([pool, deep]),
-            np.concatenate([counts, _min_halfplane_counts(ds.data, deep)]),
-        )
+    best_pt, best_cnt = _self_depths(ds)[1] if ds.n > _ENUM_LIMIT else _enumerated_median(ds.data)
     return (float(best_pt[0]), float(best_pt[1])), best_cnt
 
 
 def tukey_median(ds: Dataset) -> tuple[np.ndarray, float]:
-    """A deepest point of the 2-D sample, with its depth; exact for n <= 60.
+    """A deepest point of the 2-D sample, with its depth.
 
     For n <= 60 the candidates are the line-arrangement vertices (data points,
     pairwise midpoints, intersections of lines through data pairs), on which
     depth is piecewise constant; every candidate that can reach the maximal
-    count is swept exactly.  Beyond that a deterministic seeded multi-start
-    pattern search on a shrinking grid is used, and the point it returns may
-    not be deepest, but no sample point is deeper.  Ties break toward the
-    smallest Euclidean norm, then lexicographic coordinates.
+    count is swept exactly, and ties break toward the smallest Euclidean norm,
+    then lexicographic coordinates.  Beyond that it is the area centroid of the
+    deepest region D_k*, from the k-edges of the self-depth pass that also fills
+    ``sample_depths``; where a region without interior puts that centroid below
+    k*, the deepest of it and the sample points (see ``_levels``).
     """
     _require_dim(ds, 2, "tukey_median")
     (px, py), cnt = _tukey_median_cached(ds)
@@ -433,15 +467,7 @@ def max_depth(ds: Dataset) -> float:
     return tukey_median(ds)[1]
 
 
-@functools.lru_cache(maxsize=64)
-def _sample_depths_cached(ds: Dataset) -> np.ndarray:
-    counts = _min_halfplane_counts(ds.data, ds.data)
-    depths = counts / ds.n
-    depths.setflags(write=False)
-    return depths
-
-
 def sample_depths(ds: Dataset) -> np.ndarray:
     """Exact depth of every sample point w.r.t. the full sample (cached, d=2)."""
     _require_dim(ds, 2, "sample_depths")
-    return _sample_depths_cached(ds)
+    return _self_depths(ds)[0]

@@ -164,3 +164,77 @@ def points_in_hull(hull: np.ndarray, points: np.ndarray, tol: float | None = Non
         cross = e[0] * (pts[:, 1] - a[1]) - e[1] * (pts[:, 0] - a[0])
         inside &= cross >= -tol * ln
     return inside
+
+
+def exact_side_counts(pts: np.ndarray):
+    """For every data-pair line (i < j, p_i != p_j): the numbers of points strictly
+    left of, strictly right of and on the directed line p_i -> p_j.
+
+    Orientation signs are exact: a float filter decides the clear ones (no
+    result depends on it), and the rest come from Python-int cross products of
+    the coordinates scaled to integers (``float.as_integer_ratio``).
+    """
+    pts = np.asarray(pts, dtype=float)
+    ratios = [v.as_integer_ratio() for v in pts.ravel().tolist()]
+    den = max(d for _, d in ratios)
+    ints = np.array([num * (den // d) for num, d in ratios], dtype=object).reshape(pts.shape)
+    ia, ib = np.triu_indices(len(pts), k=1)
+    keep = np.any(pts[ia] != pts[ib], axis=1)
+    ia, ib = ia[keep], ib[keep]
+    out = np.empty((3, len(ia)), dtype=np.int64)
+    for s in range(0, len(ia), 512):
+        a, b = ia[s : s + 512], ib[s : s + 512]
+        d = (pts[b] - pts[a])[:, None, :]
+        w = pts[None, :, :] - pts[a][:, None, :]
+        t1, t2 = d[..., 0] * w[..., 1], d[..., 1] * w[..., 0]
+        sign = np.sign(t1 - t2).astype(np.int64)
+        r, c = np.nonzero(np.abs(t1 - t2) <= 1e-14 * (np.abs(t1) + np.abs(t2)))
+        if len(r):
+            di, wi = ints[b[r]] - ints[a[r]], ints[c] - ints[a[r]]
+            cross = di[:, 0] * wi[:, 1] - di[:, 1] * wi[:, 0]
+            sign[r, c] = [(v > 0) - (v < 0) for v in cross]
+        out[:, s : s + 512] = [(sign > 0).sum(axis=1), (sign < 0).sum(axis=1),
+                               (sign == 0).sum(axis=1)]
+    return ia, ib, out
+
+
+def max_count_exact(pts: np.ndarray) -> int:
+    """The largest k such that some point has Tukey depth count >= k, for data
+    not all on one line, from exact side counts and one LP per level.
+
+    {x : count >= k} is the intersection of the closed halfplanes bounded by
+    data-pair lines that leave at most k - 1 points strictly outside (Rousseeuw
+    & Ruts).  A side with L points outside and c on the line is redundant when
+    L + c <= k - 1: the parallel line moved just off the points is valid and
+    stronger.  So a level takes the sides with k - c <= L <= k - 1, and it is
+    nonempty when the Chebyshev-radius LP (scipy.optimize.linprog, a free radius
+    maximized) reaches a radius >= -1e-9 times the data scale.  Levels are
+    bisected between ceil(n / 3), which the centerpoint theorem guarantees,
+    and n.
+    """
+    from scipy.optimize import linprog
+
+    pts = np.asarray(pts, dtype=float)
+    q = pts - pts.mean(axis=0)
+    ia, ib, (left, right, on) = exact_side_counts(pts)
+    d = q[ib] - q[ia]
+    nrm = np.stack([-d[:, 1], d[:, 0]], axis=1) / np.linalg.norm(d, axis=1)[:, None]
+    off = (nrm * q[ia]).sum(axis=1)  # the right side of p_i -> p_j: nrm x <= off
+    scale = float(np.abs(q).max())
+
+    def nonempty(k: int) -> bool:
+        r = (k - on <= left) & (left <= k - 1)
+        lft = (k - on <= right) & (right <= k - 1)
+        a = np.concatenate([nrm[r], -nrm[lft]])
+        b = np.concatenate([off[r], -off[lft]])
+        if len(a) == 0:
+            return True
+        res = linprog([0.0, 0.0, -1.0], A_ub=np.column_stack([a, np.ones(len(a))]), b_ub=b,
+                      bounds=[(None, None), (None, None), (None, scale)], method="highs")
+        return res.status == 0 and -res.fun >= -1e-9 * scale
+
+    lo, hi = -(-len(pts) // 3), len(pts)
+    while lo < hi:
+        k = (lo + hi + 1) // 2
+        lo, hi = (k, hi) if nonempty(k) else (lo, k - 1)
+    return lo

@@ -114,6 +114,15 @@ def test_dataset_immutable_and_hashable():
     assert ds != Dataset([[1, 2], [3, 5]])
 
 
+def test_dataset_equality_matches_hash():
+    # +0.0 and -0.0 hash apart (the bytes differ), so they must compare apart:
+    # a set or a per-dataset cache keeps both, each with its own results
+    pos, neg = Dataset([[0.0, 1], [2, 3]]), Dataset([[-0.0, 1], [2, 3]])
+    assert pos != neg and len({pos, neg}) == 2
+    assert pos == Dataset([[0.0, 1.0], [2.0, 3.0]]) and len({pos, Dataset([[0, 1], [2, 3]])}) == 1
+    assert Dataset([[1.0, 2.0]]) != Dataset([[1.0], [2.0]])
+
+
 def test_affine_identity():
     ds = Dataset([[1, 2], [3, 4]])
     out = affine_transform(ds, np.eye(2), [0, 0])

@@ -27,7 +27,7 @@ from doqr.halfspace import (
     _tie_break_best,
     sample_approx_counts,
 )
-from oracles import approx_counts_pairwise, depth_bruteforce, enumeration_counts
+from oracles import approx_counts_pairwise, depth_bruteforce, enumeration_counts, max_count_exact
 
 AXES4 = Dataset([[1, 0], [-1, 0], [0, 1], [0, -1]])
 
@@ -343,16 +343,22 @@ def test_max_depth_centerpoint_bound():
     assert max_depth(Dataset([[0, 0], [2, 1]])) == 0.5
 
 
-def test_tukey_median_search_branch():
-    # n > 60 goes through the seeded pattern search; it must deliver a point
-    # at least as deep as every sample point and be deterministic
+def test_tukey_median_region_branch(monkeypatch):
+    # n > 60: the centroid of the deepest region, deterministic, at least as
+    # deep as every sample point, its swept count the reported one; the same
+    # pass fills the sample depths, so sample_depths sweeps nothing more
     rng = np.random.default_rng(15)
     ds = Dataset(rng.standard_normal((150, 2)))
     m1, d1 = tukey_median(ds)
-    m2, d2 = tukey_median(ds)
-    assert np.array_equal(m1, m2) and d1 == d2
+    _, m2, c2 = halfspace._levels(ds.data.copy())  # recomputed, not read from the cache
+    assert np.array_equal(m1, m2) and d1 == c2 / ds.n
+    assert d1 >= np.ceil(ds.n / 3) / ds.n and depth_2d_exact(ds, m1) == d1
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sample depths swept again")
+
+    monkeypatch.setattr(halfspace, "_min_halfplane_counts", no_sweep)
     assert d1 >= sample_depths(ds).max()
-    assert d1 >= np.ceil(ds.n / 3) / ds.n
 
 
 def half_on_a_line(i: int, n: int = 400) -> Dataset:
@@ -363,19 +369,19 @@ def half_on_a_line(i: int, n: int = 400) -> Dataset:
     return Dataset(x)
 
 
-def test_tukey_median_search_reaches_every_sample_point():
-    # half the sample on a line, n = 400: on the first sample the pattern
-    # search alone stops at 170/400, below sample point 11's 175/400, and
-    # central_region refused the sample's own deepest level
-    ds = half_on_a_line(33)
-    m, dep = tukey_median(ds)
-    assert dep == 175 / 400 and np.array_equal(m, ds.data[11])
+def test_tukey_median_half_on_a_line_reaches_every_sample_point():
+    # half the sample on a line, n = 400: the deepest region lies on the line,
+    # without interior.  On the first sample the old pattern search stopped at
+    # 170/400, below sample point 11's 175/400, and central_region refused the
+    # sample's own deepest level; now its median is a point of the line at 175
     for i in (33, 0, 1, 2, 3):
         ds = half_on_a_line(i)
         m, dep = tukey_median(ds)
         top = sample_depths(ds).max()
         assert dep >= top and depth_2d_exact(ds, m) == dep
         assert central_region(ds, top).weight >= 1 / ds.n
+    m, dep = tukey_median(half_on_a_line(33))
+    assert dep == 175 / 400 and abs(m[1] - (0.5 * m[0] + 0.3)) < 1e-15
 
 
 def median_samples() -> list[np.ndarray]:
@@ -430,6 +436,68 @@ def test_tukey_median_matches_full_enumeration_n60():
     assert m.tobytes() == np.array(expected).tobytes() and dep == 27 / 60
 
 
+def test_clip_and_centroid():
+    square = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]])
+    # x + y <= 2 leaves the lower-left triangle, whose area centroid is (2/3, 2/3)
+    tri = halfspace._clip(square, np.array([[1.0, 1.0]]) / np.sqrt(2), np.array([np.sqrt(2)]), 0.0)
+    assert np.allclose(halfspace._centroid(tri), [2 / 3, 2 / 3])
+    # a pentagon: the area centroid, not the vertex mean (1.1, 0.5)
+    trap = halfspace._clip(square, np.array([[0.0, 1.0], [1.0, 1.0] / np.sqrt(2)]),
+                           np.array([1.0, 2.5 / np.sqrt(2)]), 0.0)
+    area = 2.0 - 0.5 * 0.5 * 0.5
+    want = (np.array([1.0, 0.5]) * 2.0 - np.array([2.0 - 0.5 / 3, 1.0 - 0.5 / 3]) * 0.125) / area
+    assert np.allclose(halfspace._centroid(trap), want)
+    # opposite halfplanes meeting in a segment: empty at tol 0 by rounding at
+    # most, kept as a sliver within tol, whose centroid is on the segment
+    a, b = np.array([[0.0, 1.0], [0.0, -1.0]]), np.array([1.0, -1.0])
+    sliver = halfspace._clip(square, a, b, 1e-12)
+    assert len(sliver) and np.allclose(halfspace._centroid(sliver), [1.0, 1.0])
+    assert len(halfspace._clip(square, a, b - [0.1, 0.0], 1e-12)) == 0
+
+
+def test_region_levels_match_full_enumeration(enumerated):
+    # the n > 60 path run on the 210 small samples, collinear and duplicate-heavy
+    # ones included: the enumeration's maximal count, swept at the returned point
+    for x, cands, counts in enumerated:
+        sample, m, k = halfspace._levels(x)
+        assert np.array_equal(sample, _min_halfplane_counts(x, x))
+        assert k == counts.max() == _min_halfplane_counts(x, m[None, :])[0]
+
+
+def oracle_samples() -> list[tuple[int, np.ndarray]]:
+    """(kind, sample) with n from 61 to 200: general position, half on a line,
+    shifted by 1e6 (14 each), then rounded to 1 decimal and duplicate-heavy (3 each)."""
+    out = []
+    for i in range(48):
+        rng = np.random.default_rng([61, i])
+        n = 61 + (139 * i) // 47
+        x = rng.standard_normal((n, 2))
+        kind = i % 3 if i < 42 else 3 + i % 2
+        if kind == 1:
+            t = rng.standard_normal(n // 2)
+            x[: n // 2] = np.stack([t, 0.5 * t + 0.3], axis=1)
+        elif kind == 2:
+            x = x + 1e6
+        elif kind == 3:
+            x = np.round(x, 1)
+        elif kind == 4:
+            x = x[rng.integers(0, n // 4 + 1, n)]
+        out.append((kind, x))
+    return out
+
+
+def test_max_depth_matches_exact_oracle():
+    # against exact side counts of every data-pair line and an LP per level,
+    # which share no tolerance with the sweep; rounded and duplicate-heavy data
+    # meet the snapped sweep's own semantics, so there only the sample bound
+    for kind, x in oracle_samples():
+        ds = Dataset(x)
+        m, dep = tukey_median(ds)
+        assert depth_2d_exact(ds, m) == dep >= sample_depths(ds).max()
+        if kind < 3:
+            assert dep == max_count_exact(x) / ds.n
+
+
 def enumeration_bound(pts: np.ndarray, cands: np.ndarray) -> np.ndarray:
     return np.min([_tail_bound(pts, cands, u) for u in _BOUND_DIRS], axis=0)
 
@@ -454,6 +522,47 @@ def test_max_depth_affine_invariant_up_to_enumeration_limit():
             if abs(np.linalg.det(A)) > 0.2:
                 break
         assert max_depth(affine_transform(ds, A, rng.normal(0.0, 5.0, 2))) == max_depth(ds)
+
+
+def test_max_depth_affine_invariant_beyond_enumeration_limit():
+    # the n = 100 sample where the old pattern search found 0.46 for the sample
+    # and 0.45 for its image, and an n = 1000 sample; the median maps along
+    rng = np.random.default_rng(19)
+    ds = Dataset(rng.standard_normal((100, 2)))
+    big = Dataset(np.random.default_rng(20).standard_normal((1000, 2)))
+    for data, A, b in ((ds, rng.standard_normal((2, 2)), np.zeros(2)),
+                       (ds, np.array([[2.0, 0.7], [-0.3, 1.1]]), np.array([3.0, -1.0])),
+                       (big, np.array([[0.5, -1.2], [0.9, 0.4]]), np.array([-2.0, 5.0]))):
+        m, dep = tukey_median(data)
+        m2, dep2 = tukey_median(affine_transform(data, A, b))
+        assert dep2 == dep and np.allclose(m2, A @ m + b, rtol=0.0, atol=1e-9)
+    assert max_depth(ds) == 0.46
+
+
+def test_median_pass_memory_is_one_block_plus_window(monkeypatch):
+    # one kernel block (seven buffers of about _CHUNK_BUDGET entries, 8 bytes
+    # each), O(n) vectors and at most four copies of the window's entries (row,
+    # angle, S, m0: 32 bytes): never an (n, n) array (72 MB here)
+    x = np.random.default_rng(4).standard_normal((3000, 2))
+    entries = []
+
+    def counting(data, queries, window=None):
+        out = _min_halfplane_counts(data, queries, window)
+        if window:
+            entries.append(len(out[1][0]))
+        return out
+
+    monkeypatch.setattr(halfspace, "_min_halfplane_counts", counting)
+    halfspace._levels(x)  # warm
+    bound = 8 * (7 * halfspace._CHUNK_BUDGET + 8 * len(x)) + 4 * 32 * entries[-1]  # bytes
+    assert bound < 8e6
+    tracemalloc.start()
+    try:
+        halfspace._levels(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_sample_depths_matches_pointwise():
