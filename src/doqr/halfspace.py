@@ -36,8 +36,8 @@ _SENTINEL = 10.0
 # within a per-core cache.
 _CHUNK_BUDGET = 32_768
 # Angular resolution: angle separations within this of exactly pi are treated
-# as exactly antipodal.  Queries constructed from the data (midpoints, line
-# intersections) yield difference vectors that are antipodal/collinear up to
+# as exactly antipodal.  Queries constructed from the data (midpoints, region
+# centroids) yield difference vectors that are antipodal/collinear up to
 # rounding; the ideal coincidences reappear as ~1e-16 rad slivers where
 # halfplane membership is float noise.  Snapping below 1e-9 rad restores the
 # ideal-configuration count while leaving genuine configurations (angle gaps
@@ -49,8 +49,6 @@ _GAP_EPS = 1e-9
 # open halfplane: all such points fit in one sweep semicircle (pi - _GAP_EPS).
 _BOUND_TOL = 1e-7
 
-_ENUM_LIMIT = 60      # up to this n the deepest point is found by enumeration
-_BOUND_SEEDS = 64     # candidates nearest the coordinatewise median swept first
 # the median bound's 32 evenly spaced directions, bit-reversed: each far from those before
 _BOUND_DIRS = np.exp(1j * np.pi * np.array([int(f"{i:05b}"[::-1], 2) for i in range(32)]) / 32)
 
@@ -235,32 +233,6 @@ def depth_approx(ds: Dataset, x, cfg: DepthConfig) -> float:
     return int(np.minimum(le, ge).min()) / ds.n
 
 
-def _line_intersections(pts: np.ndarray) -> np.ndarray:
-    """Pairwise intersection points of all lines through data-point pairs."""
-    n = pts.shape[0]
-    ia, ib = np.triu_indices(n, k=1)
-    a = pts[ia]
-    d = pts[ib] - pts[ia]  # line k: a[k] + t * d[k]
-    m = a.shape[0]
-    if m < 2:
-        return np.empty((0, 2))
-    ka, kb = np.triu_indices(m, k=1)
-    denom = d[ka, 0] * d[kb, 1] - d[ka, 1] * d[kb, 0]
-    ok = np.abs(denom) > 1e-12
-    ka, kb, denom = ka[ok], kb[ok], denom[ok]
-    rel = a[kb] - a[ka]
-    t = (rel[:, 0] * d[kb, 1] - rel[:, 1] * d[kb, 0]) / denom
-    return a[ka] + t[:, None] * d[ka]
-
-
-def _tie_break_best(cands: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, int]:
-    # highest count, then smallest norm, then lexicographic coordinates
-    norm2 = cands[:, 0] ** 2 + cands[:, 1] ** 2
-    order = np.lexsort((cands[:, 1], cands[:, 0], norm2, -counts))
-    best = order[0]
-    return cands[best].copy(), int(counts[best])
-
-
 def _tail_bound(pts: np.ndarray, cands: np.ndarray, u: complex) -> np.ndarray:
     """Bounds of the swept counts: smaller closed tail counts along u = e^(i theta)."""
     tol = _BOUND_TOL * np.abs(pts).max()
@@ -324,35 +296,6 @@ def _members_at_least(data: np.ndarray, k: int) -> np.ndarray:
     return live
 
 
-def _enumerated_median(pts: np.ndarray) -> tuple[np.ndarray, int]:
-    """Branch and bound: sweep the candidates nearest the coordinatewise
-    median, prune by projection bounds, sweep the highest-bound survivors,
-    then the rest that can still tie.  Same result as sweeping them all."""
-    ia, ib = np.triu_indices(pts.shape[0], k=1)
-    cands = np.concatenate([pts, 0.5 * (pts[ia] + pts[ib]), _line_intersections(pts)])
-    # the deepest point lies in the convex hull, hence in the (finite) bounding box
-    lo, hi = pts.min(axis=0) - 1e-12, pts.max(axis=0) + 1e-12
-    cands = cands[np.all((cands >= lo) & (cands <= hi), axis=1)]
-    near = ((cands - np.median(pts, axis=0)) ** 2).sum(axis=1)
-    k = min(_BOUND_SEEDS, near.size) - 1
-    best = _min_halfplane_counts(pts, cands[near.argpartition(k)[: k + 1]]).max()
-    live, ub = cands, np.full(cands.shape[0], pts.shape[0])
-    for u in _BOUND_DIRS:
-        ub = np.minimum(ub, _tail_bound(pts, live, u))
-        live, ub = live[ub >= best], ub[ub >= best]
-    top = ub == ub.max()
-    counts = _min_halfplane_counts(pts, live[top])
-    rest = live[~top][ub[~top] >= counts.max()]
-    live = np.concatenate([live[top], rest])
-    counts = np.concatenate([counts, _min_halfplane_counts(pts, rest)])
-    best_pt, best_cnt = _tie_break_best(live, counts)
-    # +0.0 and -0.0 copies of the winner tie; keep the copy np.unique keeps
-    if np.any(np.signbit(live[np.all(live == best_pt, axis=1)]) != np.signbit(best_pt)):
-        uniq = np.unique(cands, axis=0)
-        best_pt = uniq[np.all(uniq == best_pt, axis=1)][0]
-    return best_pt, best_cnt
-
-
 def _clip(poly: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     """Convex ``poly`` cut by a x <= b + tol (unit normals a), the most violated first."""
     while len(poly) and len(a):
@@ -377,6 +320,27 @@ def _centroid(poly: np.ndarray) -> np.ndarray:
     return poly.mean(axis=0) + (c + np.roll(c, -1, axis=0)).T @ cr / (3 * cr.sum())
 
 
+def _snap(pts: np.ndarray, x0: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """x0 (count k), or the representable point nearest it within rounding that
+    sweeps >= k, with its count: the nearest sample point, or the nearest midpoint
+    0.5 * (p_i + p_j) of a pair with p_i + p_j = 2 x0, exactly the centre of a
+    symmetric pair (p + (-p) is +0.0).  Partners come from searching the
+    reflections 2 x0 - p_i among the sorted projections on a direction of
+    irrational slope, which separates grid points: O(n log n), then one sweep."""
+    eps, u = 1e-12 * np.abs(pts).max(), np.array([np.cos(np.pi / 8), np.sin(np.pi / 8)])
+    proj, r = pts @ u, 2.0 * x0 - pts
+    order = proj.argsort()
+    j = order[np.minimum(np.searchsorted(proj[order], r @ u - 4.0 * eps), len(pts) - 1)]
+    paired = (np.abs(pts[j] - r) <= 2.0 * eps).all(axis=1, keepdims=True)
+    mids = np.where(paired, 0.5 * (pts + pts[j]), np.inf)
+    cands = np.stack([c[np.abs(c - x0).max(axis=1).argmin()] for c in (pts, mids)])
+    d = np.abs(cands - x0).max(axis=1)
+    cands = cands[d <= eps][d[d <= eps].argsort(kind="stable")]
+    counts = _min_halfplane_counts(pts, cands)
+    ok = np.flatnonzero(counts >= k)
+    return (cands[ok[0]], int(counts[ok[0]])) if len(ok) else (x0, k)
+
+
 def _levels(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Sample counts, and a deepest point with its count, from one self-depth pass.
 
@@ -387,8 +351,9 @@ def _levels(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     the centroid of the deepest meeting of the slabs between the k-th smallest
     and largest projections on _BOUND_DIRS (they contain D_k) up to that level.
     The largest level whose region's centroid sweeps >= k is bisected, and that
-    centroid returned; if it sweeps below (no interior), the best of it, the slab
-    centroid and the deepest sample points.
+    centroid returned, snapped to a representable point (``_snap``); if it sweeps
+    below (no interior), the best of it, the slab centroid and the deepest sample
+    points.
     """
     mid, n, found = pts.mean(axis=0), len(pts), {}
     q = pts - mid  # exact for data within a factor 2 of their mean, as when shifted
@@ -424,42 +389,37 @@ def _levels(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
 
     lo = largest(max(int(counts.max()), c0), top, reaches)  # top >= k*: D_k lies in its slabs
     if reaches(lo):
-        return counts, *found[lo]
+        return counts, *_snap(pts, *found[lo])
     pairs = [found[lo], found[-top], *zip(pts[counts == lo], counts[counts == lo])]
-    return counts, *_tie_break_best(*map(np.array, zip(*pairs)))
+    cands, c = map(np.array, zip(*pairs))  # highest count, smallest norm, lexicographic
+    best = np.lexsort((cands[:, 1], cands[:, 0], cands[:, 0] ** 2 + cands[:, 1] ** 2, -c))[0]
+    return counts, cands[best], int(c[best])
 
 
 @functools.lru_cache(maxsize=64)
-def _self_depths(ds: Dataset):
-    """Read-only sample depths, and past _ENUM_LIMIT the [point, count] median of the pass."""
-    data = ds.data
-    counts, *median = _levels(data) if ds.n > _ENUM_LIMIT else (_min_halfplane_counts(data, data),)
+def _self_depths(ds: Dataset) -> tuple[np.ndarray, tuple[float, float], int]:
+    """Read-only sample depths and the Tukey median with its count, from the one
+    self-depth pass of ``_levels``: the per-dataset cache of both."""
+    counts, (px, py), count = _levels(ds.data)
     depths = counts / ds.n
     depths.setflags(write=False)
-    return depths, median
-
-
-@functools.lru_cache(maxsize=64)
-def _tukey_median_cached(ds: Dataset) -> tuple[tuple[float, float], int]:
-    best_pt, best_cnt = _self_depths(ds)[1] if ds.n > _ENUM_LIMIT else _enumerated_median(ds.data)
-    return (float(best_pt[0]), float(best_pt[1])), best_cnt
+    return depths, (float(px), float(py)), count
 
 
 def tukey_median(ds: Dataset) -> tuple[np.ndarray, float]:
     """A deepest point of the 2-D sample, with its depth.
 
-    For n <= 60 the candidates are the line-arrangement vertices (data points,
-    pairwise midpoints, intersections of lines through data pairs), on which
-    depth is piecewise constant; every candidate that can reach the maximal
-    count is swept exactly, and ties break toward the smallest Euclidean norm,
-    then lexicographic coordinates.  Beyond that it is the area centroid of the
-    deepest region D_k*, from the k-edges of the self-depth pass that also fills
-    ``sample_depths``; where a region without interior puts that centroid below
-    k*, the deepest of it and the sample points (see ``_levels``).
+    The area centroid of the deepest region D_k*, the classical Tukey median,
+    read from the k-edges of the self-depth pass that also fills
+    ``sample_depths``; within rounding of a sample point, or of the midpoint of
+    a pair symmetric about it, it is that exactly representable point (the
+    centre of centrosymmetric data is exactly (0, 0)).  Where a region without
+    interior puts the centroid below k*, the deepest of it and the sample
+    points (see ``_levels``).  The depth is the swept count at the point.
     """
     _require_dim(ds, 2, "tukey_median")
-    (px, py), cnt = _tukey_median_cached(ds)
-    return np.array([px, py]), cnt / ds.n
+    _, pt, cnt = _self_depths(ds)
+    return np.array(pt), cnt / ds.n
 
 
 def max_depth(ds: Dataset) -> float:

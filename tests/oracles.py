@@ -10,9 +10,7 @@ from doqr.halfspace import (
     _CHUNK_BUDGET,
     _GAP_EPS,
     DepthConfig,
-    _line_intersections,
     _min_halfplane_counts,
-    _tie_break_best,
     project,
 )
 
@@ -62,10 +60,29 @@ def depth_bruteforce(ds: Dataset, x, max_points: int = 30) -> float:
     return (m0 + int(counts.min())) / ds.n
 
 
+def _line_intersections(pts: np.ndarray) -> np.ndarray:
+    """Pairwise intersection points of all lines through data-point pairs."""
+    n = pts.shape[0]
+    ia, ib = np.triu_indices(n, k=1)
+    a = pts[ia]
+    d = pts[ib] - pts[ia]  # line k: a[k] + t * d[k]
+    m = a.shape[0]
+    if m < 2:
+        return np.empty((0, 2))
+    ka, kb = np.triu_indices(m, k=1)
+    denom = d[ka, 0] * d[kb, 1] - d[ka, 1] * d[kb, 0]
+    ok = np.abs(denom) > 1e-12
+    ka, kb, denom = ka[ok], kb[ok], denom[ok]
+    rel = a[kb] - a[ka]
+    t = (rel[:, 0] * d[kb, 1] - rel[:, 1] * d[kb, 0]) / denom
+    return a[ka] + t[:, None] * d[ka]
+
+
 def enumeration_counts(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every arrangement candidate of the median enumeration, deduplicated,
-    with its exact count: data points, pairwise midpoints and intersections
-    of lines through data pairs, inside the bounding box."""
+    """Every vertex candidate of the line arrangement, deduplicated, with its
+    swept count: data points, pairwise midpoints and intersections of lines
+    through data pairs, inside the bounding box.  Depth is constant between
+    the lines, so the largest of these counts is the maximal count."""
     n = pts.shape[0]
     ia, ib = np.triu_indices(n, k=1)
     mids = 0.5 * (pts[ia] + pts[ib])
@@ -79,13 +96,6 @@ def enumeration_counts(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cands = cands[np.all(np.isfinite(cands), axis=1)]
     cands = np.unique(cands, axis=0)
     return cands, _min_halfplane_counts(pts, cands)
-
-
-def tukey_median_enumerated(pts: np.ndarray) -> tuple[np.ndarray, int]:
-    """Deepest point and its count by sweeping every arrangement candidate,
-    then the library's tie-break: the enumeration ``tukey_median`` ran before
-    it bounded the candidates."""
-    return _tie_break_best(*enumeration_counts(pts))
 
 
 def approx_counts_pairwise(data: np.ndarray, queries: np.ndarray, cfg: DepthConfig) -> np.ndarray:
@@ -166,6 +176,43 @@ def points_in_hull(hull: np.ndarray, points: np.ndarray, tol: float | None = Non
     return inside
 
 
+def _as_ints(values: np.ndarray) -> np.ndarray:
+    """Python ints proportional to the float values, all scaled by one power of
+    two (``float.as_integer_ratio``): differences and products of them are exact."""
+    ratios = [v.as_integer_ratio() for v in values.ravel().tolist()]
+    den = max(d for _, d in ratios)
+    return np.array([num * (den // d) for num, d in ratios], dtype=object).reshape(values.shape)
+
+
+def depth_count_exact(points, q) -> int:
+    """Exact closed-halfplane depth count (depth * n) of the point q.
+
+    It is n minus the most points an open halfplane through q holds, and a
+    fullest open halfplane is an arc [a_i, a_i + pi) of directions from q
+    anchored at a point direction: with w = p - q, point j lies in anchor i's
+    arc iff cross(w_i, w_j) > 0, or cross = 0 and dot(w_i, w_j) > 0.  A float
+    filter decides the clear signs (the products of the rounded differences
+    err by < 6e-16 (|a| + |b|), far inside its 1e-14), and Python-int cross and
+    dot products of the coordinates scaled to integers decide the rest: no
+    tolerance is shared with the sweep.  O(n^2) time and memory.
+    """
+    pts, q = np.asarray(points, dtype=float), np.asarray(q, dtype=float)
+    ints = _as_ints(np.concatenate([pts, q[None, :]]))
+    w, wi = pts - q, ints[:-1] - ints[-1]
+    valid = np.any(w != 0.0, axis=1)  # a float difference is 0 only for equal floats
+    w, wi = w[valid], wi[valid]
+    if len(w) == 0:
+        return len(pts)
+    a, b = w[:, None, 0] * w[None, :, 1], w[:, None, 1] * w[None, :, 0]
+    inside = a - b > 0.0
+    r, c = np.nonzero((np.abs(a - b) <= 1e-14 * (np.abs(a) + np.abs(b)))
+                      | (np.abs(a) + np.abs(b) < 1e-280))  # underflow: go exact
+    cross = wi[r, 0] * wi[c, 1] - wi[r, 1] * wi[c, 0]
+    dot = wi[r, 0] * wi[c, 0] + wi[r, 1] * wi[c, 1]
+    inside[r, c] = [x > 0 or (x == 0 and y > 0) for x, y in zip(cross, dot)]
+    return len(pts) - int(inside.sum(axis=1).max())
+
+
 def exact_side_counts(pts: np.ndarray):
     """For every data-pair line (i < j, p_i != p_j): the numbers of points strictly
     left of, strictly right of and on the directed line p_i -> p_j.
@@ -175,9 +222,7 @@ def exact_side_counts(pts: np.ndarray):
     the coordinates scaled to integers (``float.as_integer_ratio``).
     """
     pts = np.asarray(pts, dtype=float)
-    ratios = [v.as_integer_ratio() for v in pts.ravel().tolist()]
-    den = max(d for _, d in ratios)
-    ints = np.array([num * (den // d) for num, d in ratios], dtype=object).reshape(pts.shape)
+    ints = _as_ints(pts)
     ia, ib = np.triu_indices(len(pts), k=1)
     keep = np.any(pts[ia] != pts[ib], axis=1)
     ia, ib = ia[keep], ib[keep]

@@ -19,15 +19,15 @@ from doqr import (
     unit_directions,
 )
 from doqr import halfspace
-from doqr.halfspace import (
-    _BOUND_DIRS,
+from doqr.halfspace import _BOUND_DIRS, _min_halfplane_counts, _tail_bound, sample_approx_counts
+from oracles import (
     _line_intersections,
-    _min_halfplane_counts,
-    _tail_bound,
-    _tie_break_best,
-    sample_approx_counts,
+    approx_counts_pairwise,
+    depth_bruteforce,
+    depth_count_exact,
+    enumeration_counts,
+    max_count_exact,
 )
-from oracles import approx_counts_pairwise, depth_bruteforce, enumeration_counts, max_count_exact
 
 AXES4 = Dataset([[1, 0], [-1, 0], [0, 1], [0, -1]])
 
@@ -319,8 +319,8 @@ def test_tukey_median_examples():
     m, dep = tukey_median(Dataset([[0, 0]]))
     assert np.array_equal(m, [0.0, 0.0]) and dep == 1.0
     m, dep = tukey_median(Dataset([[0, 0], [1, 0]]))
-    assert dep == 0.5  # any point of the segment; tie-break picks min norm
-    assert np.array_equal(m, [0.0, 0.0])
+    assert dep == 0.5  # any point of the segment; the centroid snaps to the pair's midpoint
+    assert np.array_equal(m, [0.5, 0.0])
 
 
 def test_tukey_median_centrosymmetric_bound():
@@ -331,6 +331,17 @@ def test_tukey_median_centrosymmetric_bound():
         m, dep = tukey_median(ds)
         assert dep >= (ds.n // 2) / ds.n
         assert np.array_equal(m, [0.0, 0.0])
+
+
+def test_tukey_median_centrosymmetric_exact_count():
+    # D_k* is the single centre point: its rounded centroid snaps to the
+    # midpoint of a symmetric pair, exactly (0, 0) and with +0.0, where the
+    # exact count, with no tolerance shared with the sweep, is the reported one
+    for n in range(8, 231, 2):
+        h = np.random.default_rng([5, n]).standard_normal((n // 2, 2))
+        x = np.concatenate([h, -h])
+        m, dep = tukey_median(Dataset(x))
+        assert m.tobytes() == np.zeros(2).tobytes() and dep == depth_count_exact(x, m) / n
 
 
 def test_max_depth_centerpoint_bound():
@@ -344,9 +355,9 @@ def test_max_depth_centerpoint_bound():
 
 
 def test_tukey_median_region_branch(monkeypatch):
-    # n > 60: the centroid of the deepest region, deterministic, at least as
-    # deep as every sample point, its swept count the reported one; the same
-    # pass fills the sample depths, so sample_depths sweeps nothing more
+    # the centroid of the deepest region, deterministic, at least as deep as
+    # every sample point, its swept count the reported one; the same pass
+    # fills the sample depths, so sample_depths sweeps nothing more
     rng = np.random.default_rng(15)
     ds = Dataset(rng.standard_normal((150, 2)))
     m1, d1 = tukey_median(ds)
@@ -418,22 +429,23 @@ def enumerated():
 
 
 def test_tukey_median_matches_full_enumeration(enumerated):
-    # the branch and bound returns the full enumeration's point, to the bit
-    # (+0.0 and -0.0 included), and its count
+    # the 210 small samples, collinear and duplicate-heavy ones included: the
+    # enumeration's maximal count, swept at the returned point, and the pass's
+    # sample depths are the pointwise sweep's
     for x, cands, counts in enumerated:
-        ref_pt, ref_cnt = _tie_break_best(cands, counts)  # = tukey_median_enumerated(x)
-        m, dep = tukey_median(Dataset(x))
-        assert m.tobytes() == ref_pt.tobytes() and dep == ref_cnt / x.shape[0]
+        ds = Dataset(x)
+        m, dep = tukey_median(ds)
+        assert dep == counts.max() / ds.n == depth_2d_exact(ds, m)
+        assert np.array_equal(sample_depths(ds), _min_halfplane_counts(x, x) / ds.n)
 
 
 def test_tukey_median_matches_full_enumeration_n60():
-    # the sample of test_outlyingness_examples_and_monotone_along_ray; the
-    # expected point is oracles.tukey_median_enumerated's, pinned because
-    # computing it takes ~15 s
+    # the sample of test_outlyingness_examples_and_monotone_along_ray; its
+    # maximal count is the full enumeration's (oracles.enumeration_counts,
+    # pinned because computing it takes ~15 s)
     ds = Dataset(np.random.default_rng(31).standard_normal((60, 2)))
     m, dep = tukey_median(ds)
-    expected = [float.fromhex("0x1.a40a44dcf18c5p-4"), float.fromhex("-0x1.d60dabb6c2218p-3")]
-    assert m.tobytes() == np.array(expected).tobytes() and dep == 27 / 60
+    assert dep == 27 / 60 and depth_2d_exact(ds, m) == dep
 
 
 def test_clip_and_centroid():
@@ -453,15 +465,6 @@ def test_clip_and_centroid():
     sliver = halfspace._clip(square, a, b, 1e-12)
     assert len(sliver) and np.allclose(halfspace._centroid(sliver), [1.0, 1.0])
     assert len(halfspace._clip(square, a, b - [0.1, 0.0], 1e-12)) == 0
-
-
-def test_region_levels_match_full_enumeration(enumerated):
-    # the n > 60 path run on the 210 small samples, collinear and duplicate-heavy
-    # ones included: the enumeration's maximal count, swept at the returned point
-    for x, cands, counts in enumerated:
-        sample, m, k = halfspace._levels(x)
-        assert np.array_equal(sample, _min_halfplane_counts(x, x))
-        assert k == counts.max() == _min_halfplane_counts(x, m[None, :])[0]
 
 
 def oracle_samples() -> list[tuple[int, np.ndarray]]:
@@ -509,28 +512,27 @@ def test_median_bound_is_upper_bound_of_swept_counts(enumerated):
         assert np.all(enumeration_bound(x, cands) >= counts)
     # the sweep's antipodal snap counts 1 here, where the exact depth is 0
     snap, origin = np.array([[1.0, 0.0], [-1.0, -5e-10]]), np.zeros((1, 2))
-    assert _min_halfplane_counts(snap, origin)[0] == 1
+    assert _min_halfplane_counts(snap, origin)[0] == 1 and depth_count_exact(snap, origin[0]) == 0
     assert enumeration_bound(snap, origin)[0] >= 1
 
 
-def test_max_depth_affine_invariant_up_to_enumeration_limit():
+def test_max_depth_affine_invariant():
+    # an n = 40 sample under five maps; the n = 100 sample where the old pattern
+    # search found 0.46 for the sample and 0.45 for its image; an n = 1000
+    # sample.  The maximal depth is invariant and the median maps along
     rng = np.random.default_rng(53)
-    ds = Dataset(rng.standard_normal((40, 2)))
+    small = Dataset(rng.standard_normal((40, 2)))
+    maps = []
     for _ in range(5):
         while True:
             A = rng.standard_normal((2, 2))
             if abs(np.linalg.det(A)) > 0.2:
                 break
-        assert max_depth(affine_transform(ds, A, rng.normal(0.0, 5.0, 2))) == max_depth(ds)
-
-
-def test_max_depth_affine_invariant_beyond_enumeration_limit():
-    # the n = 100 sample where the old pattern search found 0.46 for the sample
-    # and 0.45 for its image, and an n = 1000 sample; the median maps along
+        maps.append((small, A, rng.normal(0.0, 5.0, 2)))
     rng = np.random.default_rng(19)
     ds = Dataset(rng.standard_normal((100, 2)))
     big = Dataset(np.random.default_rng(20).standard_normal((1000, 2)))
-    for data, A, b in ((ds, rng.standard_normal((2, 2)), np.zeros(2)),
+    for data, A, b in (*maps, (ds, rng.standard_normal((2, 2)), np.zeros(2)),
                        (ds, np.array([[2.0, 0.7], [-0.3, 1.1]]), np.array([3.0, -1.0])),
                        (big, np.array([[0.5, -1.2], [0.9, 0.4]]), np.array([-2.0, 5.0]))):
         m, dep = tukey_median(data)
