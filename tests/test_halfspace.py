@@ -467,6 +467,16 @@ def test_clip_and_centroid():
     assert len(halfspace._clip(square, a, b - [0.1, 0.0], 1e-12)) == 0
 
 
+def test_region_levels_match_full_enumeration(enumerated):
+    # the self-depth pass itself on the 210 small samples, collinear and
+    # duplicate-heavy ones included: the sample counts are the pointwise sweep's,
+    # the count is the enumeration's maximum and is swept at the returned point
+    for x, cands, counts in enumerated:
+        sample, m, k = halfspace._levels(x)
+        assert np.array_equal(sample, _min_halfplane_counts(x, x))
+        assert k == counts.max() == _min_halfplane_counts(x, m[None, :])[0]
+
+
 def oracle_samples() -> list[tuple[int, np.ndarray]]:
     """(kind, sample) with n from 61 to 200: general position, half on a line,
     shifted by 1e6 (14 each), then rounded to 1 decimal and duplicate-heavy (3 each)."""
@@ -516,23 +526,29 @@ def test_median_bound_is_upper_bound_of_swept_counts(enumerated):
     assert enumeration_bound(snap, origin)[0] >= 1
 
 
-def test_max_depth_affine_invariant():
-    # an n = 40 sample under five maps; the n = 100 sample where the old pattern
-    # search found 0.46 for the sample and 0.45 for its image; an n = 1000
-    # sample.  The maximal depth is invariant and the median maps along
+def test_max_depth_affine_invariant_up_to_enumeration_limit():
+    # an n = 40 sample under five maps: the maximal depth is invariant and the
+    # median maps along
     rng = np.random.default_rng(53)
-    small = Dataset(rng.standard_normal((40, 2)))
-    maps = []
+    ds = Dataset(rng.standard_normal((40, 2)))
+    m, dep = tukey_median(ds)
     for _ in range(5):
         while True:
             A = rng.standard_normal((2, 2))
             if abs(np.linalg.det(A)) > 0.2:
                 break
-        maps.append((small, A, rng.normal(0.0, 5.0, 2)))
+        b = rng.normal(0.0, 5.0, 2)
+        m2, dep2 = tukey_median(affine_transform(ds, A, b))
+        assert dep2 == dep and np.allclose(m2, A @ m + b, rtol=0.0, atol=1e-9)
+
+
+def test_max_depth_affine_invariant_beyond_enumeration_limit():
+    # the n = 100 sample where the old pattern search found 0.46 for the sample
+    # and 0.45 for its image, and an n = 1000 sample; the median maps along
     rng = np.random.default_rng(19)
     ds = Dataset(rng.standard_normal((100, 2)))
     big = Dataset(np.random.default_rng(20).standard_normal((1000, 2)))
-    for data, A, b in (*maps, (ds, rng.standard_normal((2, 2)), np.zeros(2)),
+    for data, A, b in ((ds, rng.standard_normal((2, 2)), np.zeros(2)),
                        (ds, np.array([[2.0, 0.7], [-0.3, 1.1]]), np.array([3.0, -1.0])),
                        (big, np.array([[0.5, -1.2], [0.9, 0.4]]), np.array([-2.0, 5.0]))):
         m, dep = tukey_median(data)
