@@ -9,6 +9,7 @@ outputs start with a one-line header naming the columns.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -140,15 +141,15 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_masking(args) -> int:
-    cfg_doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    spec = ContaminationSpec(
-        n_clean=cfg_doc["n_clean"],
-        d=cfg_doc["d"],
-        n_outliers=cfg_doc.get("n_outliers", 0),
-        outlier_center=tuple(cfg_doc.get("outlier_center", ())),
-        outlier_spread=cfg_doc.get("outlier_spread", 0.0),
-        seed=SeedSpec(cfg_doc.get("seed", 0)),
-    )
+    doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError(f"{args.config}: expected a JSON object, got {type(doc).__name__}")
+    fields = {f.name for f in dataclasses.fields(ContaminationSpec)}
+    bad = [f"missing key {k!r}" for k in ("n_clean", "d") if k not in doc]
+    bad += [f"unknown key {k!r}" for k in sorted(set(doc) - fields)]
+    if bad:
+        raise ValueError(f"{args.config}: {', '.join(bad)}")
+    spec = ContaminationSpec(**doc | {"seed": SeedSpec(doc.get("seed", 0))})
     report = masking_experiment(spec, args.fpr, args.trials, _cfg(args))
     if args.json:
         _emit(report.to_json() + "\n", args.out)

@@ -108,24 +108,22 @@ def _block_rows(k: int, width: int) -> int:
     return min(k, max(1, _CHUNK_BUDGET // width))
 
 
-def sample_approx_counts(data: np.ndarray, cfg: DepthConfig) -> np.ndarray:
-    """Per sample point, the min over the config's directions of its smaller closed
-    tail count (at least 1), from one sort per direction: O(n k log n).  Sorted, its
-    <=-count is the last index of its tie group + 1, its >=-count n - the first."""
-    u, n = cfg.directions(data.shape[1]), data.shape[0]
-    out, pos, step = np.full(n, n), np.arange(n), _block_rows(len(u), n)
-    buf, tmp = np.empty((step, n)), np.empty((step, n))
+def _approx_members_at_least(data: np.ndarray, k: int, cfg: DepthConfig) -> np.ndarray:
+    """Mask of the sample points whose sampled-direction count (the min over the
+    config's directions of the smaller closed tail) is >= k.  A count is below k
+    when, on some direction, the projection lies strictly below the k-th smallest
+    or strictly above the k-th largest: one partition per direction, O(n k)."""
+    n = data.shape[0]
+    if k <= 1 or k > n:  # a sample point always counts itself
+        return np.full(n, k <= 1)
+    u, out = cfg.directions(data.shape[1]), np.ones(n, dtype=bool)
+    step = _block_rows(len(u), n)
+    buf, work = np.empty((step, n)), np.empty((step, n))
     for uc in np.split(u, range(step, len(u), step)):
-        proj = _project_into(data, uc, buf[: len(uc)], tmp[: len(uc)])  # rows contiguous
-        order = proj.argsort(axis=1)
-        s = np.take_along_axis(proj, order, axis=1)
-        ends = np.ones(s.shape, dtype=bool)  # ends[:, p]: a tie group ends at p
-        np.not_equal(s[:, 1:], s[:, :-1], out=ends[:, :-1])
-        first = np.maximum.accumulate(np.where(np.roll(ends, 1, axis=1), pos, 0), axis=1)
-        last = np.minimum.accumulate(np.where(ends, pos, n - 1)[:, ::-1], axis=1)[:, ::-1]
-        tails = np.empty_like(order)
-        np.put_along_axis(tails, order, np.minimum(last + 1, n - first), axis=1)
-        out = np.minimum(out, tails.min(axis=0))
+        proj, w = _project_into(data, uc, buf[: len(uc)], work[: len(uc)]), work[: len(uc)]
+        np.copyto(w, proj)
+        w.partition(sorted({k - 1, n - k}), axis=1)
+        out &= ~((proj < w[:, k - 1 : k]) | (proj > w[:, n - k : n - k + 1])).any(axis=0)
     return out
 
 
@@ -366,31 +364,30 @@ def _levels(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
             lo, hi = (k, hi) if test(k) else (lo, k - 1)
         return lo
 
-    def centre(key, a: np.ndarray, b: np.ndarray):  # the box cut by a x <= b: centroid, count
-        if key not in found:
-            poly = _clip(box, a, b, tol)
-            x = _centroid(poly) + mid if len(poly) else mid
-            found[key] = x, int(_min_halfplane_counts(pts, x[None, :])[0]) if len(poly) else -1
-        return found[key]
+    def centre(poly: np.ndarray):  # a clipped box's centroid and count (-1 when empty)
+        x = _centroid(poly) + mid if len(poly) else mid
+        return x, int(_min_halfplane_counts(pts, x[None, :])[0]) if len(poly) else -1
 
     u = np.stack([_BOUND_DIRS.real, _BOUND_DIRS.imag], axis=1)
     u, proj = np.concatenate([u, -u]), np.sort(q @ u.T, axis=0)
-    slab = lambda k: centre(-k, u, np.concatenate([proj[n - k], -proj[k - 1]]))  # noqa: E731
-    top = largest(-(-n // 3), n, lambda k: slab(k)[1] >= 0)  # centerpoints: D_ceil(n/3) is nonempty
-    c0 = slab(top)[1]
+    slab = functools.cache(lambda k: _clip(box, u, np.r_[proj[n - k], -proj[k - 1]], tol))
+    top = largest(-(-n // 3), n, lambda k: len(slab(k)))  # centerpoints: D_ceil(n/3) is nonempty
+    x0, c0 = centre(slab(top))  # only the kept slab level is swept
     counts, (piv, ang, s, m0) = _min_halfplane_counts(pts, pts, (c0, top))
     span = s + m0 - 1
     a = np.stack([-np.sin(ang), np.cos(ang)], axis=1)
     b = (a * q[piv]).sum(axis=1)
 
     def reaches(k: int) -> bool:
-        on = (s <= k) & (span >= k)
-        return centre(k, a[on], b[on])[1] >= k
+        if k not in found:
+            on = (s <= k) & (span >= k)
+            found[k] = centre(_clip(box, a[on], b[on], tol))
+        return found[k][1] >= k
 
     lo = largest(max(int(counts.max()), c0), top, reaches)  # top >= k*: D_k lies in its slabs
     if reaches(lo):
         return counts, *_snap(pts, *found[lo])
-    pairs = [found[lo], found[-top], *zip(pts[counts == lo], counts[counts == lo])]
+    pairs = [found[lo], (x0, c0), *zip(pts[counts == lo], counts[counts == lo])]
     cands, c = map(np.array, zip(*pairs))  # highest count, smallest norm, lexicographic
     best = np.lexsort((cands[:, 1], cands[:, 0], cands[:, 0] ** 2 + cands[:, 1] ** 2, -c))[0]
     return counts, cands[best], int(c[best])

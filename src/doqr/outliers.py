@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, SeedSpec
-from .halfspace import DepthConfig, _members_at_least, sample_approx_counts
+from .halfspace import DepthConfig, _approx_members_at_least, _members_at_least
 from .normal import chi2_quantile, oh_threshold
 from .projection import po_profile
 
@@ -97,10 +97,11 @@ def identify(
     """Flag sample indices whose outlyingness exceeds the threshold.
 
     halfspace: flags i when 1 - 2*depth(x_i) > threshold, with exact depth
-    for d = 2 and sampled-direction depth otherwise.  At d = 2 that is one
-    level question: x_i is flagged when its exact count is below the smallest
-    count k whose score is not above the threshold.  projection: flags i
-    when the projection outlyingness of x_i exceeds the threshold.
+    for d = 2 and sampled-direction depth otherwise.  Either way that is one
+    level question: x_i is flagged when its count is below the smallest count
+    k whose score is not above the threshold, and when k <= 1 (a saturated
+    threshold) nothing is computed.  projection: flags i when the projection
+    outlyingness of x_i exceeds the threshold.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -109,12 +110,13 @@ def identify(
         raise ValueError("threshold must be finite")
     if method == "projection":
         flagged = po_profile(ds.data, ds.data, cfg) > threshold
-    elif ds.d == 2:
+    else:
         # the score falls as the count rises, so the counts above the threshold are 0..k-1
         k = int(np.count_nonzero(1.0 - 2.0 * (np.arange(ds.n + 1) / ds.n) > threshold))
-        flagged = ~_members_at_least(ds.data, k)
-    else:
-        flagged = 1.0 - 2.0 * (sample_approx_counts(ds.data, cfg) / ds.n) > threshold
+        if ds.d == 2:
+            flagged = ~_members_at_least(ds.data, k)
+        else:
+            flagged = ~_approx_members_at_least(ds.data, k, cfg)
     return tuple(int(i) for i in np.flatnonzero(flagged))
 
 

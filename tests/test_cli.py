@@ -140,6 +140,26 @@ def test_masking_cli(capsys, tmp_path):
     assert {s["method"] for s in doc["summaries"]} == {"halfspace", "projection"}
 
 
+def test_masking_config_validation_exit_1(capsys, tmp_path):
+    # the config must be an object with n_clean and d and no other keys than
+    # ContaminationSpec's; the message names the file and every offending key
+    cases = (
+        ({"d": 2}, ["missing key 'n_clean'"]),
+        ({}, ["missing key 'n_clean'", "missing key 'd'"]),
+        ({"n_clean": 30, "d": 2, "n_outlier": 3}, ["unknown key 'n_outlier'"]),
+        ({"n_clean": 30, "Seed": 1, "zz": 0},
+         ["missing key 'd'", "unknown key 'Seed'", "unknown key 'zz'"]),
+        ([{"n_clean": 30, "d": 2}], ["expected a JSON object, got list"]),
+        ("n_clean", ["expected a JSON object, got str"]),
+    )
+    for doc, parts in cases:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "masking", "--config", str(cfg_path), "--trials", "1")
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {cfg_path}: ") and all(p in err for p in parts), err
+
+
 def test_usage_error_exit_2(axes4_file):
     with pytest.raises(SystemExit) as exc:
         main(["depth", "--in", axes4_file])  # missing --query

@@ -19,7 +19,12 @@ from doqr import (
     unit_directions,
 )
 from doqr import halfspace
-from doqr.halfspace import _BOUND_DIRS, _min_halfplane_counts, _tail_bound, sample_approx_counts
+from doqr.halfspace import (
+    _BOUND_DIRS,
+    _approx_members_at_least,
+    _min_halfplane_counts,
+    _tail_bound,
+)
 from oracles import (
     _line_intersections,
     approx_counts_pairwise,
@@ -249,9 +254,10 @@ def test_depth_approx_counts_sample_point_itself():
 
 @pytest.mark.parametrize("chunked", [False, True])
 def test_sample_approx_counts_match_pairwise_oracle(chunked, monkeypatch):
-    # one sort per direction gives every sample point's counts bit for bit as
-    # comparing it with every point, ties (rounding, duplicate rows) included;
-    # the single-query depth_approx keeps the comparison and matches too
+    # one partition per direction answers "count >= k" for every sample point
+    # and every level k exactly as comparing it with every point, ties (rounding,
+    # duplicate rows) included; the single-query depth_approx keeps the
+    # comparison and matches too
     if chunked:  # a few directions per chunk, the last chunk shorter
         monkeypatch.setattr("doqr.halfspace._CHUNK_BUDGET", 420)
     cfg = DepthConfig(300, SeedSpec(4))
@@ -266,13 +272,25 @@ def test_sample_approx_counts_match_pairwise_oracle(chunked, monkeypatch):
             x[:1],
         ]
         for data in samples:
-            want = approx_counts_pairwise(data, data, cfg)
-            got = sample_approx_counts(data, cfg)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+            counts = approx_counts_pairwise(data, data, cfg)
+            for k in range(len(data) + 2):
+                got = _approx_members_at_least(data, k, cfg)
+                assert got.dtype == bool and np.array_equal(got, counts >= k)
             ds = Dataset(data)
             queries = np.concatenate([data[:3], np.round(rng.standard_normal((3, d)))])
             for q, c in zip(queries, approx_counts_pairwise(data, queries, cfg)):
                 assert depth_approx(ds, q, cfg) == c / ds.n
+
+
+def test_approx_members_at_least_long_rows():
+    # rows long enough that a partition at one order statistic leaves the
+    # other out of place: both k-th smallest and k-th largest are partition points
+    cfg = DepthConfig(300, SeedSpec(4))
+    x = np.random.default_rng(23).standard_normal((400, 3))
+    for data in (x, np.round(8.0 * x)):
+        counts = approx_counts_pairwise(data, data, cfg)
+        for k in (*range(0, 402, 9), 2, 399, 400, 401):
+            assert np.array_equal(_approx_members_at_least(data, k, cfg), counts >= k)
 
 
 def test_depth_approx_single_direction_case():

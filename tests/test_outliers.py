@@ -146,18 +146,38 @@ def test_identify_d3_uses_approx_depth():
 
 
 def test_identify_halfspace_d3_matches_pointwise_depth_approx():
-    spec = ContaminationSpec(
-        n_clean=100, d=3, n_outliers=3, outlier_center=(4.0, 0.0, 0.0),
-        outlier_spread=0.1, seed=SeedSpec(8),
-    )
-    ds, _ = sample_contaminated(spec)
-    depths = np.array([depth_approx(ds, x, CFG) for x in ds.data])
-    lam = oh_threshold(0.01, 3)
-    for threshold in (0.0, 0.5, 0.9, lam):
-        want = tuple(int(i) for i in np.nonzero(1 - 2 * depths > threshold)[0])
-        assert identify(ds, "halfspace", threshold, CFG) == want
-    assert want == ()  # saturated: 1 - 2/n < lam
-    assert len(identify(ds, "halfspace", 0.9, CFG)) > 0
+    # the one level question flags what the per-point depth_approx scores flag,
+    # also at every level boundary 1 - 2c/n and at its float neighbours
+    for d in (1, 3, 5):
+        spec = ContaminationSpec(
+            n_clean=100, d=d, n_outliers=3, outlier_center=(4.0,) + (0.0,) * (d - 1),
+            outlier_spread=0.1, seed=SeedSpec(8),
+        )
+        ds, _ = sample_contaminated(spec)
+        depths = np.array([depth_approx(ds, x, CFG) for x in ds.data])
+        bounds = 1.0 - 2.0 * (np.arange(ds.n + 1) / ds.n)
+        lam = oh_threshold(0.01, d)
+        for threshold in (0.0, 0.5, 0.9, lam, *bounds, *np.nextafter(bounds, 2.0),
+                          *np.nextafter(bounds, -2.0)):
+            want = tuple(int(i) for i in np.nonzero(1 - 2 * depths > threshold)[0])
+            assert identify(ds, "halfspace", threshold, CFG) == want
+        if d == 3:
+            assert identify(ds, "halfspace", lam, CFG) == ()  # saturated: 1 - 2/n < lam
+            assert len(identify(ds, "halfspace", 0.9, CFG)) > 0
+
+
+def test_identify_halfspace_out_of_reach_level_draws_no_directions(monkeypatch):
+    # a saturated threshold asks for count < 1, which no sample point has, and a
+    # threshold below -1 for count < n + 1, which every point has: no direction
+    # is drawn for either
+    def no_draw(self, d):
+        raise AssertionError("directions drawn")
+
+    monkeypatch.setattr(DepthConfig, "directions", no_draw)
+    for d in (1, 3, 5):
+        ds = Dataset(np.random.default_rng(d).standard_normal((103, d)))
+        assert identify(ds, "halfspace", oh_threshold(0.01, d), CFG) == ()
+        assert identify(ds, "halfspace", -1.5, CFG) == tuple(range(ds.n))
 
 
 def test_masking_experiment_no_contamination():
