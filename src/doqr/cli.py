@@ -149,7 +149,10 @@ def _cmd_masking(args) -> int:
     bad += [f"unknown key {k!r}" for k in sorted(set(doc) - fields)]
     if bad:
         raise ValueError(f"{args.config}: {', '.join(bad)}")
-    spec = ContaminationSpec(**doc | {"seed": SeedSpec(doc.get("seed", 0))})
+    try:
+        spec = ContaminationSpec(**doc | {"seed": SeedSpec(doc.get("seed", 0))})
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"{args.config}: {exc}") from None
     report = masking_experiment(spec, args.fpr, args.trials, _cfg(args))
     if args.json:
         _emit(report.to_json() + "\n", args.out)

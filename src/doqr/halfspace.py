@@ -43,14 +43,16 @@ _CHUNK_BUDGET = 32_768
 # ideal-configuration count while leaving genuine configurations (angle gaps
 # >= ~1e-8 rad even at n = 20000 random points) untouched.
 _GAP_EPS = 1e-9
-# Margin of the median bound's tail counts, relative to the largest coordinate
-# magnitude M.  Projections err by ~1e-15 M, so a point the bound leaves out
+# Margin of the d = 2 level prefilter's projections, relative to the largest
+# coordinate magnitude M.  Projections err by ~1e-15 M, so a point it leaves out
 # lies >= 1e-7 M / |x - c| >= 3.5e-8 rad (|x - c| <= 2*sqrt(2) M) inside an
 # open halfplane: all such points fit in one sweep semicircle (pi - _GAP_EPS).
 _BOUND_TOL = 1e-7
 
-# the median bound's 32 evenly spaced directions, bit-reversed: each far from those before
-_BOUND_DIRS = np.exp(1j * np.pi * np.array([int(f"{i:05b}"[::-1], 2) for i in range(32)]) / 32)
+# 32 evenly spaced directions for the level prefilter and the median's slabs,
+# bit-reversed (each far from those before), as (cos, sin) rows
+_BOUND_DIRS = np.exp(1j * np.pi * np.c_[[int(f"{i:05b}"[::-1], 2) for i in range(32)]] / 32)
+_BOUND_DIRS = _BOUND_DIRS.view(float)
 
 
 @dataclass(frozen=True)
@@ -108,22 +110,30 @@ def _block_rows(k: int, width: int) -> int:
     return min(k, max(1, _CHUNK_BUDGET // width))
 
 
-def _approx_members_at_least(data: np.ndarray, k: int, cfg: DepthConfig) -> np.ndarray:
-    """Mask of the sample points whose sampled-direction count (the min over the
-    config's directions of the smaller closed tail) is >= k.  A count is below k
-    when, on some direction, the projection lies strictly below the k-th smallest
-    or strictly above the k-th largest: one partition per direction, O(n k)."""
+def _direction_blocks(points: np.ndarray, u: np.ndarray, width: int = 0):
+    """(directions, projections, scratch) per block of the directions u: the (block, m)
+    projections of the m points and scratch of their shape, in two buffers of about
+    _CHUNK_BUDGET entries (max(m, width) a row) reused from block to block."""
+    step = _block_rows(len(u), max(len(points), width))
+    buf, work = np.empty((step, len(points))), np.empty((step, len(points)))
+    for uc in np.split(u, range(step, len(u), step)):
+        yield uc, _project_into(points, uc, buf[: len(uc)], work[: len(uc)]), work[: len(uc)]
+
+
+def _approx_members_at_least(data: np.ndarray, k: int, u: np.ndarray, tol=0.0) -> np.ndarray:
+    """Mask of the sample points whose count over the directions u (the min of the
+    smaller closed tail, each projection widened by ``tol``) is >= k.  It is below k
+    when, on some direction, the projection lies more than tol below the k-th smallest
+    or above the k-th largest: one partition per direction, O(n k)."""
     n = data.shape[0]
     if k <= 1 or k > n:  # a sample point always counts itself
         return np.full(n, k <= 1)
-    u, out = cfg.directions(data.shape[1]), np.ones(n, dtype=bool)
-    step = _block_rows(len(u), n)
-    buf, work = np.empty((step, n)), np.empty((step, n))
-    for uc in np.split(u, range(step, len(u), step)):
-        proj, w = _project_into(data, uc, buf[: len(uc)], work[: len(uc)]), work[: len(uc)]
+    out = np.ones(n, dtype=bool)
+    for _, proj, w in _direction_blocks(data, u):
         np.copyto(w, proj)
         w.partition(sorted({k - 1, n - k}), axis=1)
-        out &= ~((proj < w[:, k - 1 : k]) | (proj > w[:, n - k : n - k + 1])).any(axis=0)
+        low, high = proj + tol < w[:, k - 1 : k], proj - tol > w[:, n - k : n - k + 1]
+        out &= ~(low | high).any(axis=0)
     return out
 
 
@@ -224,21 +234,12 @@ def depth_approx(ds: Dataset, x, cfg: DepthConfig) -> float:
     Directions are normalized Gaussian vectors from substream 0 of the
     config's seed, so results are reproducible and nested in the budget.
     """
-    u = cfg.directions(ds.d)
-    proj, t = project(ds.data, u).T, project(as_point(x, ds.d)[None, :], u).T  # (k, n), (k, 1)
-    # int32 row sums vectorize best
-    le, ge = (proj <= t).sum(axis=1, dtype=np.int32), (proj >= t).sum(axis=1, dtype=np.int32)
-    return int(np.minimum(le, ge).min()) / ds.n
-
-
-def _tail_bound(pts: np.ndarray, cands: np.ndarray, u: complex) -> np.ndarray:
-    """Bounds of the swept counts: smaller closed tail counts along u = e^(i theta)."""
-    tol = _BOUND_TOL * np.abs(pts).max()
-    s = np.sort(pts[:, 0] * u.real + pts[:, 1] * u.imag)
-    p = cands[:, 0] * u.real + cands[:, 1] * u.imag
-    le = np.searchsorted(s, p + tol, side="right")
-    ge = pts.shape[0] - np.searchsorted(s, p - tol, side="left")
-    return np.minimum(le, ge)
+    x, best = as_point(x, ds.d)[None, :], ds.n
+    for uc, proj, _ in _direction_blocks(ds.data, cfg.directions(ds.d)):
+        t = project(x, uc).T  # (block, 1); int32 row sums vectorize best
+        le, ge = (proj <= t).sum(axis=1, dtype=np.int32), (proj >= t).sum(axis=1, dtype=np.int32)
+        best = min(best, int(np.minimum(le, ge).min()))
+    return best / ds.n
 
 
 def _cross(o, a, b):
@@ -272,16 +273,14 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
 def _members_at_least(data: np.ndarray, k: int) -> np.ndarray:
     """Mask of the 2-D sample points whose exact count (depth * n) is >= k.
 
-    Projection tail counts bound every count from above and drop the points
-    that cannot reach k; the hull vertices of the rest are swept exactly, and
+    The level test on the 32 _BOUND_DIRS, with projections widened by their
+    rounding margin, bounds every count from above and drops the points that
+    cannot reach k; the hull vertices of the rest are swept exactly, and
     those below k are peeled until every hull vertex passes.  The region
     {x : count >= k} is convex, so every point left inside that hull is a member.
     """
-    n = data.shape[0]
-    if k <= 1:  # a sample point always counts itself
-        return np.ones(n, dtype=bool)
-    ub = np.min([_tail_bound(data, data, u) for u in _BOUND_DIRS], axis=0)
-    live, passed = ub >= k, np.zeros(n, dtype=bool)
+    live = _approx_members_at_least(data, k, _BOUND_DIRS, _BOUND_TOL * np.abs(data).max())
+    passed = np.zeros(len(data), dtype=bool)
     while live.any():
         hull = convex_hull(data[live])
         # every copy of a hull vertex, not yet swept
@@ -368,8 +367,7 @@ def _levels(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         x = _centroid(poly) + mid if len(poly) else mid
         return x, int(_min_halfplane_counts(pts, x[None, :])[0]) if len(poly) else -1
 
-    u = np.stack([_BOUND_DIRS.real, _BOUND_DIRS.imag], axis=1)
-    u, proj = np.concatenate([u, -u]), np.sort(q @ u.T, axis=0)
+    u, proj = np.concatenate([_BOUND_DIRS, -_BOUND_DIRS]), np.sort(q @ _BOUND_DIRS.T, axis=0)
     slab = functools.cache(lambda k: _clip(box, u, np.r_[proj[n - k], -proj[k - 1]], tol))
     top = largest(-(-n // 3), n, lambda k: len(slab(k)))  # centerpoints: D_ceil(n/3) is nonempty
     x0, c0 = centre(slab(top))  # only the kept slab level is swept

@@ -21,7 +21,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +48,15 @@ class ContaminationSpec:
     seed: SeedSpec = SeedSpec(0)
 
     def __post_init__(self):
+        kinds = {"n_clean": (Integral, "an int"), "d": (Integral, "an int"),
+                 "n_outliers": (Integral, "an int"), "outlier_spread": (Real, "a real number")}
+        for name, (kind, what) in kinds.items():
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, kind):  # a JSON true is no count
+                raise TypeError(f"{name} must be {what}, got {type(v).__name__}")
+        center = tuple(self.outlier_center) if isinstance(self.outlier_center, Iterable) else None
+        if center is None or not all(isinstance(c, Real) for c in center):
+            raise TypeError("outlier_center must be a sequence of real numbers")
         if self.n_clean < 1:
             raise ValueError("n_clean must be >= 1")
         if self.d < 1:
@@ -54,7 +65,7 @@ class ContaminationSpec:
             raise ValueError("n_outliers must be >= 0")
         if self.outlier_spread < 0.0:
             raise ValueError("outlier_spread must be >= 0")
-        center = tuple(float(c) for c in self.outlier_center)
+        center = tuple(float(c) for c in center)
         if self.n_outliers > 0:
             if len(center) != self.d:
                 raise ValueError("outlier_center must have length d")
@@ -113,10 +124,12 @@ def identify(
     else:
         # the score falls as the count rises, so the counts above the threshold are 0..k-1
         k = int(np.count_nonzero(1.0 - 2.0 * (np.arange(ds.n + 1) / ds.n) > threshold))
-        if ds.d == 2:
+        if k <= 1 or k > ds.n:  # out of reach: a sample point counts itself, none n + 1
+            flagged = np.full(ds.n, k > ds.n)
+        elif ds.d == 2:
             flagged = ~_members_at_least(ds.data, k)
         else:
-            flagged = ~_approx_members_at_least(ds.data, k, cfg)
+            flagged = ~_approx_members_at_least(ds.data, k, cfg.directions(ds.d))
     return tuple(int(i) for i in np.flatnonzero(flagged))
 
 

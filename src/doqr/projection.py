@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .data import Dataset, as_point
-from .halfspace import DepthConfig, _block_rows, _project_into, project
+from .halfspace import DepthConfig, _direction_blocks, project
 
 
 class DegenerateScaleWarning(UserWarning):
@@ -87,12 +87,9 @@ def po_profile(data: np.ndarray, queries: np.ndarray, cfg: DepthConfig) -> np.nd
     is O(block + m + k) for m points and k directions.
     """
     u = cfg.directions(data.shape[1])
-    step = _block_rows(len(u), max(len(data), len(queries)))
-    buf, work = np.empty((step, len(data))), np.empty((step, len(data)))
     best, any_good = np.full(len(queries), -np.inf), False
-    for uc in np.split(u, range(step, len(u), step)):
-        proj = _project_into(data, uc, buf[: len(uc)], work[: len(uc)])  # (block, m)
-        med, mad = _median_mad_rows(proj, work[: len(uc)])
+    for uc, proj, work in _direction_blocks(data, u, len(queries)):  # (block, m)
+        med, mad = _median_mad_rows(proj, work)
         ratios = proj if queries is data else project(queries, uc).T
         good = mad > 0.0
         any_good |= good.any()

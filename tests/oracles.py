@@ -7,6 +7,8 @@ import numpy as np
 from doqr import Dataset, DegenerateDirectionsError, depth_1d
 from doqr.data import as_point
 from doqr.halfspace import (
+    _BOUND_DIRS,
+    _BOUND_TOL,
     _CHUNK_BUDGET,
     _GAP_EPS,
     DepthConfig,
@@ -110,6 +112,22 @@ def approx_counts_pairwise(data: np.ndarray, queries: np.ndarray, cfg: DepthConf
         le = np.count_nonzero(proj <= t, axis=1)
         ge = np.count_nonzero(proj >= t, axis=1)
         out[s : s + chunk] = np.minimum(le, ge).min(axis=1)
+    return out
+
+
+def tail_bound(pts: np.ndarray, cands: np.ndarray) -> np.ndarray:
+    """Upper bounds of the candidates' swept counts: the min over the 32 _BOUND_DIRS
+    of the smaller closed tail count, each candidate's projection widened by
+    _BOUND_TOL times the largest coordinate magnitude, by binary search in each
+    direction's sorted sample projections.  The reference for the d = 2
+    prefilter, which partitions instead of sorting."""
+    tol, out = _BOUND_TOL * np.abs(pts).max(), np.full(len(cands), len(pts))
+    for u in _BOUND_DIRS:
+        s = np.sort(pts[:, 0] * u[0] + pts[:, 1] * u[1])
+        p = cands[:, 0] * u[0] + cands[:, 1] * u[1]
+        le = np.searchsorted(s, p + tol, side="right")
+        ge = len(pts) - np.searchsorted(s, p - tol, side="left")
+        out = np.minimum(out, np.minimum(le, ge))
     return out
 
 

@@ -160,6 +160,21 @@ def test_masking_config_validation_exit_1(capsys, tmp_path):
         assert err.startswith(f"error: {cfg_path}: ") and all(p in err for p in parts), err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n_clean", "30"), ("n_clean", 30.5), ("n_clean", True),
+    ("outlier_center", 5), ("outlier_spread", "a"), ("seed", "x"),
+])
+def test_masking_config_type_errors_exit_1(capsys, tmp_path, key, value):
+    # a wrongly typed value is a TypeError of the spec, reported with the file
+    # and the key, not a comparison or iteration failure deep inside it
+    doc = {"n_clean": 30, "d": 2, "n_outliers": 1, "outlier_center": [6.0, 0.0]} | {key: value}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "masking", "--config", str(cfg_path), "--trials", "1")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {cfg_path}: ") and key in err, err
+
+
 def test_usage_error_exit_2(axes4_file):
     with pytest.raises(SystemExit) as exc:
         main(["depth", "--in", axes4_file])  # missing --query

@@ -20,10 +20,8 @@ from doqr import (
 )
 from doqr import halfspace
 from doqr.halfspace import (
-    _BOUND_DIRS,
     _approx_members_at_least,
     _min_halfplane_counts,
-    _tail_bound,
 )
 from oracles import (
     _line_intersections,
@@ -32,6 +30,7 @@ from oracles import (
     depth_count_exact,
     enumeration_counts,
     max_count_exact,
+    tail_bound,
 )
 
 AXES4 = Dataset([[1, 0], [-1, 0], [0, 1], [0, -1]])
@@ -274,7 +273,7 @@ def test_sample_approx_counts_match_pairwise_oracle(chunked, monkeypatch):
         for data in samples:
             counts = approx_counts_pairwise(data, data, cfg)
             for k in range(len(data) + 2):
-                got = _approx_members_at_least(data, k, cfg)
+                got = _approx_members_at_least(data, k, cfg.directions(d))
                 assert got.dtype == bool and np.array_equal(got, counts >= k)
             ds = Dataset(data)
             queries = np.concatenate([data[:3], np.round(rng.standard_normal((3, d)))])
@@ -290,7 +289,22 @@ def test_approx_members_at_least_long_rows():
     for data in (x, np.round(8.0 * x)):
         counts = approx_counts_pairwise(data, data, cfg)
         for k in (*range(0, 402, 9), 2, 399, 400, 401):
-            assert np.array_equal(_approx_members_at_least(data, k, cfg), counts >= k)
+            assert np.array_equal(_approx_members_at_least(data, k, cfg.directions(3)), counts >= k)
+
+
+def test_depth_approx_memory_is_a_few_blocks():
+    # directions in blocks of about _CHUNK_BUDGET projections in two reused
+    # buffers, never a (k, n) comparison: the unblocked query peaked at 320 MB
+    ds = Dataset(np.random.default_rng(5).standard_normal((20_000, 3)))
+    x, cfg = np.zeros(3), DepthConfig(1000, SeedSpec(1))
+    depth_approx(ds, x, cfg)  # warm
+    tracemalloc.start()
+    try:
+        depth_approx(ds, x, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_depth_approx_single_direction_case():
@@ -529,19 +543,41 @@ def test_max_depth_matches_exact_oracle():
             assert dep == max_count_exact(x) / ds.n
 
 
-def enumeration_bound(pts: np.ndarray, cands: np.ndarray) -> np.ndarray:
-    return np.min([_tail_bound(pts, cands, u) for u in _BOUND_DIRS], axis=0)
-
-
 def test_median_bound_is_upper_bound_of_swept_counts(enumerated):
-    # includes the arrangement vertices of rounded data, where the two points
+    # the prefilter's bound (the tail_bound oracle) at arbitrary candidates,
+    # including the arrangement vertices of rounded data, where the two points
     # on a line through the vertex project to either side by rounding noise
     for x, cands, counts in enumerated:
-        assert np.all(enumeration_bound(x, cands) >= counts)
+        assert np.all(tail_bound(x, cands) >= counts)
     # the sweep's antipodal snap counts 1 here, where the exact depth is 0
     snap, origin = np.array([[1.0, 0.0], [-1.0, -5e-10]]), np.zeros((1, 2))
     assert _min_halfplane_counts(snap, origin)[0] == 1 and depth_count_exact(snap, origin[0]) == 0
-    assert enumeration_bound(snap, origin)[0] >= 1
+    assert tail_bound(snap, origin)[0] >= 1
+
+
+@pytest.mark.parametrize("chunked", [False, True])
+def test_prefilter_level_test_matches_tail_bound(chunked, monkeypatch):
+    # the d = 2 identifier's prefilter is the shared level test (on the 32
+    # bound directions, with the rounding margin): at every level k it keeps
+    # exactly the points whose binary-searched tail bound reaches k, ties and
+    # near-ties included
+    if chunked:  # a few directions per block, the last block shorter
+        monkeypatch.setattr(halfspace, "_CHUNK_BUDGET", 5 * 130)
+    level_test, masks = _approx_members_at_least, []
+
+    def recording(*args):
+        masks.append(level_test(*args))
+        return masks[-1].copy()
+
+    monkeypatch.setattr(halfspace, "_approx_members_at_least", recording)
+    rng = np.random.default_rng(71)
+    for n in (3, 4, 17, 130):
+        x = rng.standard_normal((n, 2))
+        for data in (x, np.round(x, 1), x[rng.integers(0, n // 4 + 1, n)], 1e6 * x + 1e6):
+            bound = tail_bound(data, data)
+            for k in range(n + 2):
+                halfspace._members_at_least(data, k)
+                assert np.array_equal(masks[-1], bound >= k), (n, k)
 
 
 def test_max_depth_affine_invariant_up_to_enumeration_limit():
