@@ -39,7 +39,7 @@ class SeedSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.master_seed, int):
+        if isinstance(self.master_seed, bool) or not isinstance(self.master_seed, int):
             raise TypeError("master_seed must be an int")
         if not 0 <= self.master_seed < _U64:
             raise ValueError("master_seed must fit in 64 bits (0 <= seed < 2**64)")

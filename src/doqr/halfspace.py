@@ -22,7 +22,10 @@ evaluates all anchors.
 from __future__ import annotations
 
 import functools
+import os
+import threading
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -63,7 +66,10 @@ class DepthConfig:
     seed: SeedSpec = SeedSpec(0)
 
     def __post_init__(self):
-        if self.n_directions < 1:
+        n = self.n_directions
+        if isinstance(n, bool) or not isinstance(n, Integral):
+            raise TypeError(f"n_directions must be an int, got {type(n).__name__}")
+        if n < 1:
             raise ValueError("n_directions must be >= 1")
         if not isinstance(self.seed, SeedSpec):
             raise TypeError("seed must be a SeedSpec")
@@ -110,14 +116,58 @@ def _block_rows(k: int, width: int) -> int:
     return min(k, max(1, _CHUNK_BUDGET // width))
 
 
-def _direction_blocks(points: np.ndarray, u: np.ndarray, width: int = 0):
-    """(directions, projections, scratch) per block of the directions u: the (block, m)
-    projections of the m points and scratch of their shape, in two buffers of about
-    _CHUNK_BUDGET entries (max(m, width) a row) reused from block to block."""
-    step = _block_rows(len(u), max(len(points), width))
-    buf, work = np.empty((step, len(points))), np.empty((step, len(points)))
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _direction_blocks(points: np.ndarray, u: np.ndarray, step: int):
+    """(directions, projections, scratch) per block of ``step`` of the directions u: the
+    (block, m) projections of the m points and scratch of their shape, in two buffers
+    reused from block to block."""
+    step = min(step, len(u))
+    # one allocation for both: freeing it raises glibc's dynamic mmap threshold
+    # (and so its trim threshold) enough that the next call's pair and a
+    # block-sized temporary stay on the heap, instead of being page-faulted in
+    buf, work = np.empty((2, step, len(points)))
     for uc in np.split(u, range(step, len(u), step)):
         yield uc, _project_into(points, uc, buf[: len(uc)], work[: len(uc)]), work[: len(uc)]
+
+
+def _scan_directions(scan, points: np.ndarray, u: np.ndarray, width: int = 0) -> list:
+    """``[scan(blocks)]``, ``blocks`` the ``_direction_blocks`` of the directions u over
+    the points, rows of max(m, width) entries; or, when the process may run on two CPUs
+    and u takes two blocks, ``[scan(first half), scan(second half)]``, the second half
+    scanned by one worker thread while the caller scans the first.
+
+    Blocks hold about 2 * _CHUNK_BUDGET entries: numpy's partitions and ufuncs release
+    the GIL, per-block overhead holds it, and halving that overhead is what lets two
+    threads overlap.  Every direction is scored on its own, so callers that merge the
+    halves by an exact, order-free reduction get the same bytes on any CPU count.
+    """
+    step = max(1, 2 * _CHUNK_BUDGET // max(len(points), width))
+    if len(u) <= step or _usable_cpus() < 2:  # on one CPU a worker only takes turns
+        return [scan(_direction_blocks(points, u, step))]
+    half, out = len(u) // 2, [None, None]
+
+    def second():
+        try:
+            out[1] = scan(_direction_blocks(points, u[half:], step))
+        except BaseException as e:  # re-raised by the caller after the join
+            out[1] = e
+
+    worker = threading.Thread(target=second)
+    worker.start()
+    try:
+        out[0] = scan(_direction_blocks(points, u[:half], step))
+    finally:
+        worker.join()
+    if isinstance(out[1], BaseException):
+        raise out[1]
+    return out
 
 
 def _approx_members_at_least(data: np.ndarray, k: int, u: np.ndarray, tol=0.0) -> np.ndarray:
@@ -128,13 +178,17 @@ def _approx_members_at_least(data: np.ndarray, k: int, u: np.ndarray, tol=0.0) -
     n = data.shape[0]
     if k <= 1 or k > n:  # a sample point always counts itself
         return np.full(n, k <= 1)
-    out = np.ones(n, dtype=bool)
-    for _, proj, w in _direction_blocks(data, u):
-        np.copyto(w, proj)
-        w.partition(sorted({k - 1, n - k}), axis=1)
-        low, high = proj + tol < w[:, k - 1 : k], proj - tol > w[:, n - k : n - k + 1]
-        out &= ~(low | high).any(axis=0)
-    return out
+
+    def scan(blocks):
+        out = np.ones(n, dtype=bool)
+        for _, proj, w in blocks:
+            np.copyto(w, proj)
+            w.partition(sorted({k - 1, n - k}), axis=1)
+            low, high = proj + tol < w[:, k - 1 : k], proj - tol > w[:, n - k : n - k + 1]
+            out &= ~(low | high).any(axis=0)
+        return out
+
+    return np.logical_and.reduce(_scan_directions(scan, data, u))
 
 
 def _require_dim(ds: Dataset, d: int, op: str) -> None:
@@ -234,12 +288,17 @@ def depth_approx(ds: Dataset, x, cfg: DepthConfig) -> float:
     Directions are normalized Gaussian vectors from substream 0 of the
     config's seed, so results are reproducible and nested in the budget.
     """
-    x, best = as_point(x, ds.d)[None, :], ds.n
-    for uc, proj, _ in _direction_blocks(ds.data, cfg.directions(ds.d)):
-        t = project(x, uc).T  # (block, 1); int32 row sums vectorize best
-        le, ge = (proj <= t).sum(axis=1, dtype=np.int32), (proj >= t).sum(axis=1, dtype=np.int32)
-        best = min(best, int(np.minimum(le, ge).min()))
-    return best / ds.n
+    x = as_point(x, ds.d)[None, :]
+
+    def scan(blocks):
+        best = ds.n
+        for uc, proj, _ in blocks:
+            t = project(x, uc).T  # (block, 1); int32 row sums vectorize best
+            le, ge = (proj <= t).sum(axis=1, dtype=np.int32), (proj >= t).sum(axis=1, dtype=np.int32)
+            best = min(best, int(np.minimum(le, ge).min()))
+        return best
+
+    return min(_scan_directions(scan, ds.data, cfg.directions(ds.d))) / ds.n
 
 
 def _cross(o, a, b):

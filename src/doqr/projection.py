@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .data import Dataset, as_point
-from .halfspace import DepthConfig, _direction_blocks, project
+from .halfspace import DepthConfig, _scan_directions, project
 
 
 class DegenerateScaleWarning(UserWarning):
@@ -83,25 +83,31 @@ def po_profile(data: np.ndarray, queries: np.ndarray, cfg: DepthConfig) -> np.nd
 
     Directions with zero projected MAD are skipped; DegenerateDirectionsError
     is raised when every direction has zero MAD.  Directions are taken in blocks
-    of about ``_CHUNK_BUDGET`` projections held in two reused buffers, so memory
-    is O(block + m + k) for m points and k directions.
+    of about 2 * ``_CHUNK_BUDGET`` projections held in two reused buffers per half
+    (see ``_scan_directions``), so memory is O(block + m + k) for m points and k
+    directions.
     """
     u = cfg.directions(data.shape[1])
-    best, any_good = np.full(len(queries), -np.inf), False
-    for uc, proj, work in _direction_blocks(data, u, len(queries)):  # (block, m)
-        med, mad = _median_mad_rows(proj, work)
-        ratios = proj if queries is data else project(queries, uc).T
-        good = mad > 0.0
-        any_good |= good.any()
-        if not good.all():  # skip the zero-MAD rows
-            ratios, med, mad = ratios[good], med[good], mad[good]
-        ratios -= med[:, None]
-        np.abs(ratios, out=ratios)
-        ratios /= mad[:, None]
-        np.maximum(best, ratios.max(axis=0, initial=-np.inf), out=best)
-    if not any_good:
+
+    def scan(blocks):
+        best, any_good = np.full(len(queries), -np.inf), False
+        for uc, proj, work in blocks:  # (block, m)
+            med, mad = _median_mad_rows(proj, work)
+            ratios = proj if queries is data else project(queries, uc).T
+            good = mad > 0.0
+            any_good |= good.any()
+            if not good.all():  # skip the zero-MAD rows
+                ratios, med, mad = ratios[good], med[good], mad[good]
+            ratios -= med[:, None]
+            np.abs(ratios, out=ratios)
+            ratios /= mad[:, None]
+            np.maximum(best, ratios.max(axis=0, initial=-np.inf), out=best)
+        return best, any_good
+
+    parts = _scan_directions(scan, data, u, len(queries))
+    if not any(good for _, good in parts):
         raise DegenerateDirectionsError(f"all {len(u)} sampled directions have zero MAD")
-    return best
+    return np.maximum.reduce([best for best, _ in parts])
 
 
 def po_approx(ds: Dataset, x, cfg: DepthConfig) -> float:

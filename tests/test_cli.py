@@ -162,7 +162,7 @@ def test_masking_config_validation_exit_1(capsys, tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     ("n_clean", "30"), ("n_clean", 30.5), ("n_clean", True),
-    ("outlier_center", 5), ("outlier_spread", "a"), ("seed", "x"),
+    ("outlier_center", 5), ("outlier_spread", "a"), ("seed", "x"), ("seed", True),
 ])
 def test_masking_config_type_errors_exit_1(capsys, tmp_path, key, value):
     # a wrongly typed value is a TypeError of the spec, reported with the file

@@ -198,3 +198,5 @@ def test_seedspec_validation():
         SeedSpec(1 << 64)
     with pytest.raises(TypeError):
         SeedSpec(1.5)
+    with pytest.raises(TypeError, match="master_seed"):  # a JSON true is no seed
+        SeedSpec(True)

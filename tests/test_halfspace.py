@@ -1,4 +1,5 @@
 import hashlib
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from doqr import (
     Dataset,
+    DegenerateDirectionsError,
     DepthConfig,
     SeedSpec,
     affine_transform,
@@ -22,7 +24,9 @@ from doqr import halfspace
 from doqr.halfspace import (
     _approx_members_at_least,
     _min_halfplane_counts,
+    _scan_directions,
 )
+from doqr.projection import po_profile
 from oracles import (
     _line_intersections,
     approx_counts_pairwise,
@@ -307,6 +311,108 @@ def test_depth_approx_memory_is_a_few_blocks():
     assert peak < 8e6
 
 
+def _on_cpus(monkeypatch, cpus: int, f, *args):
+    """f(*args) with the CPU probe reading ``cpus``, and how many halves it scanned
+    (0 when it walked no directions); an error's message in place of a value."""
+    halves, direction_blocks = [], halfspace._direction_blocks
+
+    def blocks(*a):
+        halves.append(a)
+        return direction_blocks(*a)
+
+    with monkeypatch.context() as m:
+        m.setattr(halfspace, "_usable_cpus", lambda: cpus)
+        m.setattr(halfspace, "_direction_blocks", blocks)
+        try:
+            out = f(*args)
+        except DegenerateDirectionsError as e:
+            out = str(e)
+    return (out.tobytes() if isinstance(out, np.ndarray) else out), len(halves)
+
+
+def test_direction_split_rule(monkeypatch):
+    # two halves, the second on a worker thread, when the process may use two
+    # CPUs and the directions take two blocks of 2 * _CHUNK_BUDGET entries
+    monkeypatch.setattr(halfspace, "_CHUNK_BUDGET", 50)  # 10 rows of 10 points
+    pts, u = np.zeros((10, 2)), unit_directions(np.random.default_rng(0), 41, 2)
+
+    def rows(blocks):
+        return [len(uc) for uc, _, _ in blocks]
+
+    for cpus, k, want in (
+        (2, 10, [[10]]), (2, 11, [[5], [6]]), (2, 41, [[10, 10], [10, 10, 1]]),
+        (1, 11, [[10, 1]]), (1, 41, [[10, 10, 10, 10, 1]]), (8, 1, [[1]]),
+    ):
+        monkeypatch.setattr(halfspace, "_usable_cpus", lambda: cpus)
+        assert _scan_directions(rows, pts, u[:k]) == want
+    # rows of max(m, width) entries: 5 points scored for 20 queries
+    assert _scan_directions(rows, pts[:5], u[:11], 20) == [[5], [5, 1]]
+
+
+def test_direction_split_same_bytes_as_one_cpu(monkeypatch):
+    # every direction is scored on its own, and the halves merge by max / OR
+    # (po_profile), AND (the level test) and min (depth_approx): the same bytes
+    # on one CPU and two, on both sides of the two-block rule (100 directions
+    # take two blocks from m = 656 at the real budget, from m = 9 at 420)
+    cfg = DepthConfig(100, SeedSpec(11))
+    rng = np.random.default_rng(41)
+    for budget in (None, 420):
+        if budget is not None:
+            monkeypatch.setattr(halfspace, "_CHUNK_BUDGET", budget)
+        halves = set()
+        for d in (1, 2, 3, 5):
+            for m in (1, 2, 3, 60, 201) + ((2001,) if d == 2 else ()):
+                x = rng.standard_normal((m, d))
+                dup = np.concatenate([x[: m // 2 + 1], x[: m // 2]])
+                new = rng.standard_normal((7, d))
+                ks = range(m + 2) if m <= 60 else (0, 1, 2, m // 3, m // 2, m - 1, m, m + 1)
+                for data in (x, np.round(x), dup):
+                    ds, u = Dataset(data), cfg.directions(d)
+                    calls = [(po_profile, data, q, cfg) for q in (data, data.copy(), new)]
+                    calls += [(_approx_members_at_least, data, k, u) for k in ks]
+                    calls += [(depth_approx, ds, q, cfg) for q in (*data[:3], *np.round(new[:3]))]
+                    for f, *args in calls:
+                        one, n1 = _on_cpus(monkeypatch, 1, f, *args)
+                        two, n2 = _on_cpus(monkeypatch, 2, f, *args)
+                        assert one == two, (budget, d, m, f.__name__)
+                        assert n1 <= 1 and n2 in (n1, 2)
+                        halves.add(n2)
+        assert halves == {0, 1, 2}  # k <= 1 or k > m walks no directions
+
+
+def test_direction_split_one_cpu_starts_no_thread(monkeypatch):
+    class NoThread:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(halfspace, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(threading, "Thread", NoThread)
+    x = np.random.default_rng(2).standard_normal((2001, 2))
+    cfg = DepthConfig()  # 1000 directions, 32 a block: 32 blocks
+    po_profile(x, x, cfg)
+    _approx_members_at_least(x, 5, cfg.directions(2))
+    depth_approx(Dataset(x), np.zeros(2), cfg)
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_direction_split_errors_reach_the_caller(monkeypatch, where):
+    # an error in either half is raised by the call, after the worker is joined
+    monkeypatch.setattr(halfspace, "_usable_cpus", lambda: 2)
+    pts, u = np.zeros((10, 2)), unit_directions(np.random.default_rng(0), 20_000, 2)
+    caller = threading.current_thread()
+
+    def scan(blocks):
+        for _ in blocks:
+            if (threading.current_thread() is caller) == (where == "caller"):
+                raise KeyError(where)
+        return 0
+
+    before = threading.active_count()
+    with pytest.raises(KeyError, match=where):
+        _scan_directions(scan, pts, u)
+    assert threading.active_count() == before
+
+
 def test_depth_approx_single_direction_case():
     ds = Dataset([[0.0, 1.0], [2.0, -1.0], [1.0, 1.0], [3.0, 0.0]])
     x = np.array([1.0, 0.5])
@@ -343,6 +449,11 @@ def test_depth_config_validation():
         DepthConfig(0)
     with pytest.raises(TypeError):
         DepthConfig(10, seed=7)
+    # the type before the range: no str comparison, no float or bool budget
+    for n in ("5", 2.5, True):
+        with pytest.raises(TypeError, match="n_directions"):
+            DepthConfig(n)
+    assert DepthConfig(np.int64(3)).directions(2).shape == (3, 2)
 
 
 def test_tukey_median_examples():

@@ -214,15 +214,43 @@ def test_po_profile_blocks_skip_zero_mad_directions(monkeypatch, rows_per_block)
                 po_profile(points, points, cfg)
 
 
+def test_po_profile_zero_mad_in_one_half(monkeypatch):
+    # the MAD is exactly zero along e_d for 25 of 41 points: with every such
+    # direction in one half of a two-CPU split, that half scores nothing and the
+    # other half the profile, the bytes of one CPU; with zero MAD in both halves
+    # the error is raised once, naming all 20
+    monkeypatch.setattr(halfspace, "_CHUNK_BUDGET", 4 * 41)  # 8 rows a block
+    rng = np.random.default_rng(32)
+    for d in (2, 3):
+        e = np.eye(d)[-1]
+        data = rng.standard_normal((41, d))
+        data[:25, -1] = 0.5
+        u = DepthConfig(10, SeedSpec(4)).directions(d)
+        for dirs in (np.r_[np.tile(e, (10, 1)), u], np.r_[u, np.tile(-e, (10, 1))],
+                     np.tile(e, (20, 1))):
+            got = []
+            for cpus in (1, 2):
+                monkeypatch.setattr(halfspace, "_usable_cpus", lambda: cpus)
+                got.append(_profile_or_error(po_profile, data, data, _FixedDirections(dirs)))
+            rows = halfspace._scan_directions(lambda b: sum(len(uc) for uc, _, _ in b), data, dirs)
+            assert rows == [10, 10]  # two halves
+            assert got[0] == got[1]
+            if (dirs[:, :-1] == 0.0).all():
+                assert got[1] == "all 20 sampled directions have zero MAD"
+            else:
+                assert isinstance(got[1], bytes)
+
+
 def test_po_profile_memory_is_one_block():
-    # the profile holds two (block, m) float64 buffers of about _CHUNK_BUDGET
-    # elements and O(m + k) vectors: O(block + m + k), never an (m, k) array
+    # each of the two halves of the directions (the caller's and the worker's)
+    # holds two (block, m) float64 buffers of about 2 * _CHUNK_BUDGET elements,
+    # plus O(m + k) vectors: O(block + m + k), never an (m, k) array
     # (the unblocked profile peaked at 160 MB here, with several 80 MB ones)
     cal = np.random.default_rng(3).standard_normal((10_000, 2))
     cfg = DepthConfig()
     po_profile(cal, cal, cfg)  # warm
-    m, k = cal.shape[0], cfg.n_directions
-    bound = 8 * (3 * halfspace._CHUNK_BUDGET + 16 * (m + k))  # bytes, one block of slack
+    m, k, block = cal.shape[0], cfg.n_directions, 2 * halfspace._CHUNK_BUDGET
+    bound = 8 * (2 * 2 * block + 16 * (m + k))  # bytes: two halves, two buffers each
     assert bound < 32e6
     tracemalloc.start()
     try:
