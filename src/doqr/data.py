@@ -100,9 +100,6 @@ class Dataset:
     def d(self) -> int:
         return self._data.shape[1]
 
-    def point(self, i: int) -> np.ndarray:
-        return self._data[i]
-
     def __len__(self) -> int:
         return self.n
 
@@ -212,24 +209,3 @@ def affine_transform(ds: Dataset, A, b) -> Dataset:
             acc = acc + pts[:, k] * A[i, k]
         out[:, i] = acc + b[i]
     return Dataset(out)
-
-
-def general_position_2d(ds: Dataset) -> bool:
-    """True iff no 3 points of a 2-D dataset are collinear.
-
-    Uses the exact sign of the cross-product determinant on every triple;
-    vacuously true for n < 3.
-    """
-    if ds.d != 2:
-        raise ValueError("general_position_2d requires d = 2")
-    pts = ds.data
-    n = ds.n
-    if n < 3:
-        return True
-    for i in range(n - 2):
-        u = pts[i + 1 :] - pts[i]  # vectors from anchor i to later points
-        for j in range(u.shape[0] - 1):
-            cross = u[j, 0] * u[j + 1 :, 1] - u[j, 1] * u[j + 1 :, 0]
-            if np.any(cross == 0.0):
-                return False
-    return True

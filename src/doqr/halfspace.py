@@ -451,13 +451,14 @@ def _levels(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 @functools.lru_cache(maxsize=64)
-def _self_depths(ds: Dataset) -> tuple[np.ndarray, tuple[float, float], int]:
-    """Read-only sample depths and the Tukey median with its count, from the one
-    self-depth pass of ``_levels``: the per-dataset cache of both."""
+def _self_depths(ds: Dataset) -> tuple[np.ndarray, np.ndarray, tuple[float, float], int]:
+    """Read-only sample depths and their integer counts, and the Tukey median with
+    its count, from the one self-depth pass of ``_levels``: the per-dataset cache."""
     counts, (px, py), count = _levels(ds.data)
     depths = counts / ds.n
     depths.setflags(write=False)
-    return depths, (float(px), float(py)), count
+    counts.setflags(write=False)
+    return depths, counts, (float(px), float(py)), count
 
 
 def tukey_median(ds: Dataset) -> tuple[np.ndarray, float]:
@@ -472,7 +473,7 @@ def tukey_median(ds: Dataset) -> tuple[np.ndarray, float]:
     points (see ``_levels``).  The depth is the swept count at the point.
     """
     _require_dim(ds, 2, "tukey_median")
-    _, pt, cnt = _self_depths(ds)
+    _, _, pt, cnt = _self_depths(ds)
     return np.array(pt), cnt / ds.n
 
 

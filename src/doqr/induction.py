@@ -1,12 +1,14 @@
 """Depth-Outlyingness-Quantile-Rank functions induced from 2-D halfspace
 depth contours.
 
-The empirical central region at level a is the convex hull of the sample
-points whose exact depth is >= a; its probability weight p is the fraction
-of sample points with depth >= a, the same set as the sample points in the
+Levels are counts: the depths attained on n points are k / n, so the functions
+compare the cached integer sample counts c_i, and a user level a selects the
+c_i >= k for the smallest k with k / n >= a - 1e-12.  The empirical central
+region at level a is the convex hull of those points; its probability weight p
+is their fraction, the same set as the sample points in the
 closed hull because regions are convex (counted, not hull-tested with a
 tolerance, so float-collinear data get exact weights).  The rank of a query
-x is u = p * v, where p is the weight of the region at x's own depth level
+x is u = p * v, where p is the weight of the region at x's own count
 and v is the unit direction toward x from the Tukey median M.  The quantile
 map inverts this along rays from M by bisection on the (nondecreasing,
 stepwise) weight profile.  Outlyingness is ||u|| and depth is recovered as
@@ -15,6 +17,7 @@ stepwise) weight profile.  Outlyingness is ||u|| and depth is recovered as
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +25,9 @@ import numpy as np
 from .data import Dataset, as_point
 from .halfspace import (
     _min_halfplane_counts,
+    _require_dim,
+    _self_depths,
     convex_hull,
-    max_depth,
-    sample_depths,
     tukey_median,
 )
 
@@ -61,19 +64,15 @@ class RankVector:
         self.v.setflags(write=False)
 
 
-def _require_2d(ds: Dataset, op: str) -> None:
-    if ds.d != 2:
-        raise ValueError(f"{op} requires d = 2, got d = {ds.d}")
-
-
-def _reaches(depth, alpha: float):
-    """depth >= alpha for a user-given level alpha, up to _LEVEL_EPS."""
-    return depth >= alpha - _LEVEL_EPS
+def _level_count(alpha: float, n: int) -> int:
+    """Smallest count k in [0, n + 1] with k / n >= alpha - _LEVEL_EPS, for a
+    user-given level alpha (not NaN): a count c reaches alpha iff c >= k."""
+    return bisect.bisect_left(range(n + 1), alpha - _LEVEL_EPS, key=lambda k: k / n)
 
 
 def _members(ds: Dataset, alpha: float) -> np.ndarray:
     """Mask of the sample points with depth >= alpha, a user-given level."""
-    mask = _reaches(sample_depths(ds), alpha)
+    mask = _self_depths(ds)[1] >= _level_count(alpha, ds.n)
     if not mask.any():
         raise EmptyRegionError(f"no sample point has depth >= {alpha}")
     return mask
@@ -86,28 +85,27 @@ def central_region(ds: Dataset, alpha: float) -> CentralRegion:
     legitimately exceed every sample point's depth while staying below the
     maximal depth, which is attained off the sample).
     """
-    _require_2d(ds, "central_region")
+    _require_dim(ds, 2, "central_region")
     alpha = float(alpha)
-    md = max_depth(ds)
-    if not (0.0 < alpha and _reaches(md, alpha)):
-        raise ValueError(f"level must lie in (0, max_depth={md}], got {alpha}")
+    top = _self_depths(ds)[3]  # the Tukey median's count
+    if not (0.0 < alpha and top >= _level_count(alpha, ds.n)):
+        raise ValueError(f"level must lie in (0, max_depth={top / ds.n}], got {alpha}")
     members = _members(ds, alpha)
     return CentralRegion(alpha, convex_hull(ds.data[members]), int(members.sum()) / ds.n)
 
 
 def _weight_at(ds: Dataset, y: np.ndarray) -> float:
-    """Weight of the region at y's depth, #{i : c_i >= min(c, c_max)} / n with c = count(y):
-    1 outside every region, the deepest region's weight where no c_i reaches c.
-    Levels c / n compare exactly: c_i / n >= c / n iff c_i >= c."""
-    depths = sample_depths(ds)
+    """Weight of the region at y's count, #{i : c_i >= min(c, c_max)} / n with
+    c = count(y) and c_max the largest sample count: 1 outside every region, the
+    deepest sample region's weight where no c_i reaches c."""
+    counts = _self_depths(ds)[1]
     c = int(_min_halfplane_counts(ds.data, y[None, :])[0])
-    k = np.count_nonzero(depths >= c / ds.n) or np.count_nonzero(depths == depths.max())
-    return int(k) / ds.n
+    return np.count_nonzero(counts >= min(c, counts.max())) / ds.n
 
 
 def rank_function(ds: Dataset, x) -> RankVector:
     """Centered rank u = p * v of a query point, with ||u|| <= 1 - 1e-9."""
-    _require_2d(ds, "rank_function")
+    _require_dim(ds, 2, "rank_function")
     x = as_point(x, 2)
     m, _ = tukey_median(ds)
     if x[0] == m[0] and x[1] == m[1]:
@@ -143,7 +141,7 @@ def quantile_function(ds: Dataset, u) -> np.ndarray:
     crossing is located by bisection; the search stops when the weight is
     within 1/n of the target or the bracket is below 1e-6 of the ray length.
     """
-    _require_2d(ds, "quantile_function")
+    _require_dim(ds, 2, "quantile_function")
     u = as_point(u, 2)
     nu = float(np.linalg.norm(u))
     if nu >= 1.0:
@@ -153,7 +151,8 @@ def quantile_function(ds: Dataset, u) -> np.ndarray:
         return m.copy()
     v = u / nu
     radius = float(np.max(np.linalg.norm(ds.data - m, axis=1)))
-    if radius == 0.0 or _weight_at(ds, m) >= nu:
+    counts = _self_depths(ds)[1]  # m's weight, no sweep: its count is never below a c_i
+    if radius == 0.0 or np.count_nonzero(counts == counts.max()) / ds.n >= nu:
         return m.copy()
     t_max = 2.0 * radius
     lo, hi = 0.0, t_max
@@ -171,10 +170,10 @@ def quantile_function(ds: Dataset, u) -> np.ndarray:
 
 def trimmed_mean(ds: Dataset, alpha: float) -> np.ndarray:
     """Coordinatewise mean of the sample points with depth >= alpha."""
-    _require_2d(ds, "trimmed_mean")
+    _require_dim(ds, 2, "trimmed_mean")
     alpha = float(alpha)
-    if alpha <= 0.0:
-        raise ValueError("trim level must be positive")
+    if not alpha > 0.0:
+        raise ValueError(f"trim level must be positive, got {alpha}")
     return ds.data[_members(ds, alpha)].mean(axis=0)
 
 

@@ -24,7 +24,6 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from numbers import Integral, Real
-from pathlib import Path
 
 import numpy as np
 
@@ -218,9 +217,6 @@ class ExperimentReport:
                 f"{len(t.detected_outliers)},{len(t.masked_outliers)},{t.false_positives}"
             )
         return "\n".join(lines) + "\n"
-
-    def write_csv(self, path) -> None:
-        Path(path).write_text(self.to_csv(), encoding="utf-8")
 
 
 def projection_cutoff(spec: ContaminationSpec, fpr: float, cfg: DepthConfig) -> float:

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .data import Dataset, as_point
-from .halfspace import DepthConfig, _scan_directions, project
+from .halfspace import DepthConfig, _require_dim, _scan_directions, project
 
 
 class DegenerateScaleWarning(UserWarning):
@@ -62,8 +62,7 @@ def po_1d(ds: Dataset, x: float) -> float:
     +inf for x off the median and 0 at the median, and a
     DegenerateScaleWarning is issued.
     """
-    if ds.d != 1:
-        raise ValueError(f"po_1d requires d = 1, got d = {ds.d}")
+    _require_dim(ds, 1, "po_1d")
     x = float(x)
     if not np.isfinite(x):
         raise ValueError("query must be finite")

@@ -191,3 +191,5 @@ def test_runtime_error_exit_1(capsys, axes4_file):
     assert code == 1 and "error:" in err
     code, _, err = run(capsys, "contour", "--in", axes4_file, "--alpha", "0.9")
     assert code == 1 and "error:" in err
+    code, _, err = run(capsys, "trimmed-mean", "--in", axes4_file, "--alpha", "nan")
+    assert code == 1 and "level" in err and "nan" in err

@@ -7,7 +7,6 @@ from doqr import (
     SeedSpec,
     SingularMatrixError,
     affine_transform,
-    general_position_2d,
     load_csv,
     write_csv,
 )
@@ -161,22 +160,6 @@ def test_affine_inverse_round_trip():
         Ainv = np.linalg.inv(A)
         back = affine_transform(fwd, Ainv, -Ainv @ b)
         assert np.max(np.abs(back.data - ds.data)) <= 1e-9
-
-
-def test_general_position_examples():
-    assert general_position_2d(Dataset([[0, 0], [1, 0], [0, 1]])) is True
-    assert general_position_2d(Dataset([[0, 0], [1, 1], [2, 2]])) is False
-    assert general_position_2d(Dataset([[0, 0], [1, 1]])) is True
-    with pytest.raises(ValueError):
-        general_position_2d(Dataset([[0.0], [1.0]]))
-
-
-def test_general_position_random_and_planted():
-    rng = np.random.default_rng(3)
-    pts = rng.standard_normal((25, 2))
-    assert general_position_2d(Dataset(pts)) is True
-    planted = np.concatenate([pts, [pts[0] + 2.0 * (pts[1] - pts[0])]])
-    assert general_position_2d(Dataset(planted)) is False
 
 
 def test_seedspec_substreams_deterministic_and_order_free():

@@ -22,7 +22,7 @@ from doqr import (
     tukey_median,
 )
 from doqr.halfspace import _members_at_least
-from oracles import points_in_hull
+from oracles import depth_count_exact, points_in_hull
 
 AXES4 = Dataset([[1, 0], [-1, 0], [0, 1], [0, -1]])
 AXES5 = Dataset([[1, 0], [-1, 0], [0, 1], [0, -1], [0, 0]])
@@ -94,6 +94,60 @@ def test_members_at_least_matches_sample_depths():
         for k in sorted({1, 2, 3, ds.n // 10, ds.n // 4, top, top + 1}):
             got = _members_at_least(ds.data, k)
             assert got.dtype == bool and np.array_equal(got, counts >= k), (name, k)
+
+
+def boundary_levels(n: int) -> list[float]:
+    """k / n for k = 0..n + 1, shifted by +-5e-13, +-1e-12 and +-2e-12, and its
+    two float neighbours: on both sides of the 1e-12 level slack."""
+    out = []
+    for k in range(n + 2):
+        a = k / n
+        out += [a + s for s in (0.0, 5e-13, -5e-13, 1e-12, -1e-12, 2e-12, -2e-12)]
+        out += [np.nextafter(a, -np.inf), np.nextafter(a, np.inf)]
+    return [float(a) for a in out]
+
+
+def test_levels_at_the_slack_boundary():
+    rng = np.random.default_rng(77)
+    for n in (1, 2, 7, 20, 61):
+        x = rng.standard_normal((n, 2))
+        t = rng.standard_normal(n)
+        pool = rng.standard_normal((max(1, n // 6), 2)).round(1)
+        for pts in (x, x.round(1), pool[rng.integers(0, len(pool), n)],
+                    np.stack([0.3 + t, -1.0 + 2.0 * t], axis=1)):
+            ds = Dataset(pts)
+            depths, top = sample_depths(ds), max_depth(ds)
+            for a in boundary_levels(n):
+                # a level selects the points whose depth reaches it up to 1e-12
+                want = depths >= a - 1e-12
+                if not (a > 0.0 and top >= a - 1e-12):
+                    with pytest.raises(ValueError) as err:
+                        central_region(ds, a)
+                    assert not isinstance(err.value, EmptyRegionError), (n, a)
+                elif not want.any():
+                    with pytest.raises(EmptyRegionError):
+                        central_region(ds, a)
+                else:
+                    reg = central_region(ds, a)
+                    assert np.array_equal(reg.vertices, convex_hull(ds.data[want])), (n, a)
+                    assert reg.weight == np.count_nonzero(want) / n, (n, a)
+                if a <= 0.0:
+                    with pytest.raises(ValueError) as err:
+                        trimmed_mean(ds, a)
+                    assert not isinstance(err.value, EmptyRegionError), (n, a)
+                elif not want.any():
+                    with pytest.raises(EmptyRegionError):
+                        trimmed_mean(ds, a)
+                else:
+                    assert np.array_equal(trimmed_mean(ds, a), ds.data[want].mean(axis=0)), (n, a)
+            # a rank's weight counts the sample points at least as deep as the
+            # query, up to the deepest sample count (which a query beside the
+            # median can exceed); the query's count is exact
+            counts = np.rint(depths * n).astype(int)
+            near_median = tukey_median(ds)[0] + [1e-7, 3e-8]
+            for q in [*2.0 * rng.standard_normal((8, 2)), near_median]:
+                c = min(depth_count_exact(ds.data, q), counts.max())
+                assert rank_function(ds, q).p == min(np.count_nonzero(counts >= c) / n, CAP), (n, q)
 
 
 def test_central_region_examples():
@@ -288,8 +342,12 @@ def test_trimmed_mean_examples():
             assert np.max(np.abs(trimmed_mean(sym, lev))) <= 1e-9
     with pytest.raises(EmptyRegionError):
         trimmed_mean(AXES4, 0.5)
-    with pytest.raises(ValueError):
-        trimmed_mean(AXES4, 0.0)
+    with pytest.raises(EmptyRegionError):
+        trimmed_mean(AXES4, float("inf"))
+    for bad in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="level") as err:
+            trimmed_mean(AXES4, bad)
+        assert not isinstance(err.value, EmptyRegionError)
 
 
 def test_contour_polyline_examples():
