@@ -1,4 +1,5 @@
-"""Dataset container, CSV ingestion, affine helpers and seeded randomness.
+"""Dataset container, CSV ingestion, the projection kernel, affine helpers and
+seeded randomness.
 
 A :class:`Dataset` is an ordered, immutable collection of n points in R^d.
 All downstream depth/outlyingness machinery treats it as the empirical
@@ -63,7 +64,7 @@ def as_point(x, d: int | None = None) -> np.ndarray:
 
 
 class Dataset:
-    """Ordered sample of n points in R^d backed by a read-only float array.
+    """Ordered sample of n points in R^d backed by a read-only, C-ordered float array.
 
     Instances are immutable, hashable by content, and safe to share across
     concurrent readers.  Per-dataset caches elsewhere in the package key on
@@ -73,7 +74,7 @@ class Dataset:
     __slots__ = ("_data", "_hash")
 
     def __init__(self, points):
-        arr = np.array(points, dtype=float, copy=True)
+        arr = np.array(points, dtype=float, copy=True, order="C")
         if arr.ndim == 1:
             arr = arr.reshape(-1, 1)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -185,6 +186,22 @@ def write_csv(ds: Dataset, path, header: list[str] | None = None) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def project(points: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(m, k) projections of m points on k directions: the view of a direction-major
+    (k, m) buffer, summed coordinate by coordinate rather than by matmul, so that a
+    row's rounding does not depend on the other rows: a point projects
+    bit-identically alone and in a sample."""
+    return _project_into(points, u, np.empty((u.shape[0], points.shape[0]))).T
+
+
+def _project_into(points: np.ndarray, u: np.ndarray, out: np.ndarray, tmp=None) -> np.ndarray:
+    """``project``'s (k, m) buffer written into ``out``, the products into ``tmp`` (or new)."""
+    np.multiply.outer(u[:, 0], points[:, 0], out=out)
+    for j in range(1, points.shape[1]):
+        out += np.multiply.outer(u[:, j], points[:, j], out=tmp)
+    return out
+
+
 def affine_transform(ds: Dataset, A, b) -> Dataset:
     """Apply ``x -> A x + b`` to every point, preserving order.
 
@@ -198,14 +215,7 @@ def affine_transform(ds: Dataset, A, b) -> Dataset:
         raise ValueError("A must have finite entries")
     if abs(np.linalg.det(A)) <= 1e-12:
         raise SingularMatrixError("affine map requires |det A| > 1e-12")
-    pts = ds.data
-    out = np.empty_like(pts)
-    # elementwise accumulation, not matmul: the rounding of each output row
-    # must not depend on n, so transforming a 1-point dataset agrees bitwise
-    # with transforming the same point inside a larger one
-    for i in range(ds.d):
-        acc = pts[:, 0] * A[i, 0]
-        for k in range(1, ds.d):
-            acc = acc + pts[:, k] * A[i, k]
-        out[:, i] = acc + b[i]
-    return Dataset(out)
+    # the projection kernel, not matmul: the rounding of each output row does
+    # not depend on n, so transforming a 1-point dataset agrees bitwise with
+    # transforming the same point inside a larger one
+    return Dataset(project(ds.data, A) + b)

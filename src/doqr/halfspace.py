@@ -29,7 +29,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .data import Dataset, SeedSpec, as_point
+from .data import Dataset, SeedSpec, _project_into, as_point, project
 
 _TWO_PI = 2.0 * np.pi
 # Padding value for angle slots of points coincident with the query.  It must
@@ -93,22 +93,6 @@ def unit_directions(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
         v[bad, 0] = 1.0
         norms[bad] = 1.0
     return v / norms[:, None]
-
-
-def project(points: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """(m, k) projections of m points on k directions: the view of a direction-major
-    (k, m) buffer, summed coordinate by coordinate rather than by matmul, so that a
-    row's rounding does not depend on the other rows: a point projects
-    bit-identically alone and in a sample."""
-    return _project_into(points, u, np.empty((u.shape[0], points.shape[0]))).T
-
-
-def _project_into(points: np.ndarray, u: np.ndarray, out: np.ndarray, tmp=None) -> np.ndarray:
-    """``project``'s (k, m) buffer written into ``out``, the products into ``tmp`` (or new)."""
-    np.multiply.outer(u[:, 0], points[:, 0], out=out)
-    for j in range(1, points.shape[1]):
-        out += np.multiply.outer(u[:, j], points[:, j], out=tmp)
-    return out
 
 
 def _block_rows(k: int, width: int) -> int:
@@ -383,10 +367,11 @@ def _snap(pts: np.ndarray, x0: np.ndarray, k: int) -> tuple[np.ndarray, int]:
     symmetric pair (p + (-p) is +0.0).  Partners come from searching the
     reflections 2 x0 - p_i among the sorted projections on a direction of
     irrational slope, which separates grid points: O(n log n), then one sweep."""
-    eps, u = 1e-12 * np.abs(pts).max(), np.array([np.cos(np.pi / 8), np.sin(np.pi / 8)])
-    proj, r = pts @ u, 2.0 * x0 - pts
+    eps, u = 1e-12 * np.abs(pts).max(), np.array([[np.cos(np.pi / 8), np.sin(np.pi / 8)]])
+    r = 2.0 * x0 - pts
+    proj, rproj = project(pts, u)[:, 0], project(r, u)[:, 0]
     order = proj.argsort()
-    j = order[np.minimum(np.searchsorted(proj[order], r @ u - 4.0 * eps), len(pts) - 1)]
+    j = order[np.minimum(np.searchsorted(proj[order], rproj - 4.0 * eps), len(pts) - 1)]
     paired = (np.abs(pts[j] - r) <= 2.0 * eps).all(axis=1, keepdims=True)
     mids = np.where(paired, 0.5 * (pts + pts[j]), np.inf)
     cands = np.stack([c[np.abs(c - x0).max(axis=1).argmin()] for c in (pts, mids)])
@@ -408,8 +393,8 @@ def _levels(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     and largest projections on _BOUND_DIRS (they contain D_k) up to that level.
     The largest level whose region's centroid sweeps >= k is bisected, and that
     centroid returned, snapped to a representable point (``_snap``); if it sweeps
-    below (no interior), the best of it, the slab centroid and the deepest sample
-    points.
+    below (no interior), the better of the slab centroid and the deepest sample
+    points, one of which counts that level.
     """
     mid, n, found = pts.mean(axis=0), len(pts), {}
     q = pts - mid  # exact for data within a factor 2 of their mean, as when shifted
@@ -426,7 +411,7 @@ def _levels(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         x = _centroid(poly) + mid if len(poly) else mid
         return x, int(_min_halfplane_counts(pts, x[None, :])[0]) if len(poly) else -1
 
-    u, proj = np.concatenate([_BOUND_DIRS, -_BOUND_DIRS]), np.sort(q @ _BOUND_DIRS.T, axis=0)
+    u, proj = np.concatenate([_BOUND_DIRS, -_BOUND_DIRS]), np.sort(project(q, _BOUND_DIRS), axis=0)
     slab = functools.cache(lambda k: _clip(box, u, np.r_[proj[n - k], -proj[k - 1]], tol))
     top = largest(-(-n // 3), n, lambda k: len(slab(k)))  # centerpoints: D_ceil(n/3) is nonempty
     x0, c0 = centre(slab(top))  # only the kept slab level is swept
@@ -444,7 +429,7 @@ def _levels(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     lo = largest(max(int(counts.max()), c0), top, reaches)  # top >= k*: D_k lies in its slabs
     if reaches(lo):
         return counts, *_snap(pts, *found[lo])
-    pairs = [found[lo], (x0, c0), *zip(pts[counts == lo], counts[counts == lo])]
+    pairs = [(x0, c0), *zip(pts[counts == lo], counts[counts == lo])]
     cands, c = map(np.array, zip(*pairs))  # highest count, smallest norm, lexicographic
     best = np.lexsort((cands[:, 1], cands[:, 0], cands[:, 0] ** 2 + cands[:, 1] ** 2, -c))[0]
     return counts, cands[best], int(c[best])
@@ -469,8 +454,9 @@ def tukey_median(ds: Dataset) -> tuple[np.ndarray, float]:
     ``sample_depths``; within rounding of a sample point, or of the midpoint of
     a pair symmetric about it, it is that exactly representable point (the
     centre of centrosymmetric data is exactly (0, 0)).  Where a region without
-    interior puts the centroid below k*, the deepest of it and the sample
-    points (see ``_levels``).  The depth is the swept count at the point.
+    interior puts the centroid below k*, the deeper of the slab centroid and
+    the deepest sample points (see ``_levels``).  The depth is the swept count
+    at the point.
     """
     _require_dim(ds, 2, "tukey_median")
     _, _, pt, cnt = _self_depths(ds)

@@ -22,7 +22,7 @@ import functools
 import json
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from numbers import Integral, Real
 
 import numpy as np
@@ -168,41 +168,11 @@ class ExperimentReport:
         raise KeyError(method)
 
     def to_dict(self) -> dict:
-        return {
-            "config": {
-                "n_clean": self.spec.n_clean,
-                "d": self.spec.d,
-                "n_outliers": self.spec.n_outliers,
-                "outlier_center": list(self.spec.outlier_center),
-                "outlier_spread": self.spec.outlier_spread,
-                "master_seed": self.spec.seed.master_seed,
-                "fpr": self.fpr,
-                "n_trials": self.n_trials,
-                "n_directions": self.n_directions,
-                "direction_seed": self.direction_seed,
-            },
-            "summaries": [
-                {
-                    "method": s.method,
-                    "threshold": s.threshold,
-                    "masking_rate": s.masking_rate,
-                    "mean_fp_rate": s.mean_fp_rate,
-                }
-                for s in self.summaries
-            ],
-            "trials": [
-                {
-                    "trial": t.trial,
-                    "method": t.method,
-                    "threshold": t.threshold,
-                    "n_flagged": t.n_flagged,
-                    "detected_outliers": list(t.detected_outliers),
-                    "masked_outliers": list(t.masked_outliers),
-                    "false_positives": t.false_positives,
-                }
-                for t in self.trials
-            ],
-        }
+        doc = asdict(self)
+        config = doc.pop("spec")
+        config["master_seed"] = config.pop("seed")["master_seed"]
+        trials, summaries = doc.pop("trials"), doc.pop("summaries")
+        return {"config": config | doc, "summaries": summaries, "trials": trials}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -376,18 +346,10 @@ def compare_identifiers(
     return tuple(cells)
 
 
-COMPARISON_CSV_HEADER = (
-    "d,n_outliers,distance,masking_rate_halfspace,masking_rate_projection,"
-    "fp_rate_halfspace,fp_rate_projection,threshold_halfspace,threshold_projection"
-)
+COMPARISON_CSV_HEADER = ",".join(f.name for f in fields(GridCell))
 
 
 def comparison_to_csv(cells) -> str:
-    lines = [COMPARISON_CSV_HEADER]
-    for c in cells:
-        lines.append(
-            f"{c.d},{c.n_outliers},{c.distance!r},{c.masking_rate_halfspace!r},"
-            f"{c.masking_rate_projection!r},{c.fp_rate_halfspace!r},"
-            f"{c.fp_rate_projection!r},{c.threshold_halfspace!r},{c.threshold_projection!r}"
-        )
+    # str is repr for a float, and prints a numpy integer as a plain integer
+    lines = [COMPARISON_CSV_HEADER, *(",".join(map(str, astuple(c))) for c in cells)]
     return "\n".join(lines) + "\n"

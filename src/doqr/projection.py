@@ -13,8 +13,8 @@ import warnings
 
 import numpy as np
 
-from .data import Dataset, as_point
-from .halfspace import DepthConfig, _require_dim, _scan_directions, project
+from .data import Dataset, as_point, project
+from .halfspace import DepthConfig, _require_dim, _scan_directions
 
 
 class DegenerateScaleWarning(UserWarning):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from doqr import Dataset, DegenerateDirectionsError, depth_1d
-from doqr.data import as_point
+from doqr.data import as_point, project
 from doqr.halfspace import (
     _BOUND_DIRS,
     _BOUND_TOL,
@@ -13,7 +13,6 @@ from doqr.halfspace import (
     _GAP_EPS,
     DepthConfig,
     _min_halfplane_counts,
-    project,
 )
 
 

@@ -120,6 +120,10 @@ def test_dataset_equality_matches_hash():
     assert pos != neg and len({pos, neg}) == 2
     assert pos == Dataset([[0.0, 1.0], [2.0, 3.0]]) and len({pos, Dataset([[0, 1], [2, 3]])}) == 1
     assert Dataset([[1.0, 2.0]]) != Dataset([[1.0], [2.0]])
+    # equal datasets share cached results, so they share one memory layout:
+    # numpy's reductions (a mean over the rows) round differently by layout
+    fortran = Dataset(np.asfortranarray([[0.0, 1.0], [2.0, 3.0]]))
+    assert fortran == pos and fortran.data.flags.c_contiguous
 
 
 def test_affine_identity():
@@ -160,6 +164,25 @@ def test_affine_inverse_round_trip():
         Ainv = np.linalg.inv(A)
         back = affine_transform(fwd, Ainv, -Ainv @ b)
         assert np.max(np.abs(back.data - ds.data)) <= 1e-9
+
+
+def test_affine_bitwise_per_coordinate_and_per_row():
+    # (A x)_i + b_i summed left to right in plain floats, with no fused
+    # multiply-add; and a row alone transforms exactly as inside the sample
+    rng = np.random.default_rng(8)
+    for d in (1, 2, 3, 5):
+        x = rng.standard_normal((40, d)) * 10.0 ** rng.integers(-3, 4, (40, 1))
+        A, b = rng.standard_normal((d, d)), rng.standard_normal(d)
+        out = affine_transform(Dataset(x), A, b).data
+        for p, row in zip(x.tolist(), out):
+            want = []
+            for i in range(d):
+                acc = p[0] * A[i, 0]
+                for k in range(1, d):
+                    acc = acc + p[k] * A[i, k]
+                want.append(float(acc + b[i]))
+            assert row.tolist() == want
+            assert affine_transform(Dataset([p]), A, b).data[0].tobytes() == row.tobytes()
 
 
 def test_seedspec_substreams_deterministic_and_order_free():

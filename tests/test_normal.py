@@ -57,6 +57,15 @@ def test_std_normal_quantile_round_trip():
         assert abs(std_normal_cdf(z) - p) <= 1e-12
 
 
+def test_std_normal_quantile_matches_ndtri():
+    # near 1/2 (where the quantile is tiny), on a central grid, and in both tails
+    ndtri = pytest.importorskip("scipy.special").ndtri
+    ps = [0.5 - 1e-9, 0.5 + 1e-9, 0.5 + 1e-15, *(i / 200 for i in range(1, 200))]
+    ps += [1.0 - 10.0**-k for k in range(2, 13)] + [10.0**-k for k in range(2, 301)]
+    for p in ps:
+        assert abs(std_normal_quantile(p) - ndtri(p)) <= 2e-15 * abs(ndtri(p)), p
+
+
 def test_std_normal_quantile_domain():
     for p in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(ValueError):

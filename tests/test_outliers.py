@@ -344,6 +344,33 @@ def test_comparison_csv_shape():
     assert len(lines) == 2
 
 
+def test_report_bytes_and_keys():
+    # numpy-integer grid entries print as plain integers
+    cells = compare_identifiers(
+        [(np.int64(2), np.int64(1), 6.0)], n_clean=30, fpr=0.05, n_trials=5, cfg=CFG,
+        seed=SeedSpec(1),
+    )
+    assert comparison_to_csv(cells) == (
+        "d,n_outliers,distance,masking_rate_halfspace,masking_rate_projection,"
+        "fp_rate_halfspace,fp_rate_projection,threshold_halfspace,threshold_projection\n"
+        "2,1,6.0,1.0,0.0,0.0,0.15999999999999998,0.9856247375753562,3.936890976556887\n"
+    )
+    spec = ContaminationSpec(
+        n_clean=20, d=2, n_outliers=1, outlier_center=(5.0, 0.0), outlier_spread=0.1,
+        seed=SeedSpec(3),
+    )
+    doc = masking_experiment(spec, 0.05, 2, CFG).to_dict()
+    assert list(doc["config"]) == [
+        "n_clean", "d", "n_outliers", "outlier_center", "outlier_spread", "master_seed",
+        "fpr", "n_trials", "n_directions", "direction_seed",
+    ]
+    assert list(doc["summaries"][0]) == ["method", "threshold", "masking_rate", "mean_fp_rate"]
+    assert list(doc["trials"][0]) == [
+        "trial", "method", "threshold", "n_flagged", "detected_outliers", "masked_outliers",
+        "false_positives",
+    ]
+
+
 def test_default_masking_grid_shape():
     grid = default_masking_grid(0.01)
     assert {(d, k) for d, k, _ in grid} == {(2, 3), (2, 5)}

@@ -15,7 +15,7 @@ from doqr import (
     projection_depth,
 )
 from doqr import halfspace
-from doqr.halfspace import project
+from doqr.data import project
 from doqr.projection import po_profile
 
 from oracles import median_mad_sorted, po_profile_unblocked
