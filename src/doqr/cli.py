@@ -9,26 +9,10 @@ outputs start with a one-line header naming the columns.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import sys
-from pathlib import Path
 
-import numpy as np
-
-from .data import Dataset, SeedSpec, load_csv
-from .halfspace import DepthConfig, depth_1d, depth_2d_exact, depth_approx, tukey_median
-from .induction import (
-    contour_polyline,
-    outlyingness,
-    quantile_function,
-    rank_function,
-    sign_test,
-    trimmed_mean,
-)
-from .normal import oh_cdf, oh_pdf, oh_threshold
-from .outliers import ContaminationSpec, masking_experiment
-from .projection import po_approx
+# Each command imports what it calls when it runs, so that a call pays only
+# for its own modules: `oracle` needs the standard library alone, no numpy.
 
 
 def _fmt(x: float) -> str:
@@ -36,10 +20,11 @@ def _fmt(x: float) -> str:
 
 
 def _fmt_vec(v) -> str:
-    return ",".join(_fmt(c) for c in np.asarray(v, dtype=float))
+    return ",".join(map(_fmt, v))
 
 
-def _parse_vec(text: str) -> np.ndarray:
+def _parse_vec(text: str):
+    import numpy as np
     try:
         return np.array([float(c) for c in text.split(",")], dtype=float)
     except ValueError:
@@ -48,20 +33,25 @@ def _parse_vec(text: str) -> np.ndarray:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
+        from pathlib import Path
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
-def _load(args) -> Dataset:
+def _load(args):
+    from .data import load_csv
     return load_csv(args.inp, has_header=args.header)
 
 
-def _cfg(args) -> DepthConfig:
+def _cfg(args):
+    from .data import SeedSpec
+    from .halfspace import DepthConfig
     return DepthConfig(n_directions=args.directions, seed=SeedSpec(args.seed))
 
 
 def _cmd_depth(args) -> int:
+    from .halfspace import depth_1d, depth_2d_exact, depth_approx
     ds = _load(args)
     q = _parse_vec(args.query)
     if ds.d == 1:
@@ -75,34 +65,40 @@ def _cmd_depth(args) -> int:
 
 
 def _cmd_projout(args) -> int:
+    from .projection import po_approx
     ds = _load(args)
     print(_fmt(po_approx(ds, _parse_vec(args.query), _cfg(args))))
     return 0
 
 
 def _cmd_median(args) -> int:
+    from .halfspace import tukey_median
     point, _ = tukey_median(_load(args))
     print(_fmt_vec(point))
     return 0
 
 
 def _cmd_rank(args) -> int:
+    from .induction import rank_function
     rv = rank_function(_load(args), _parse_vec(args.query))
     print(_fmt_vec(rv.u))
     return 0
 
 
 def _cmd_quantile(args) -> int:
+    from .induction import quantile_function
     print(_fmt_vec(quantile_function(_load(args), _parse_vec(args.u))))
     return 0
 
 
 def _cmd_outly(args) -> int:
+    from .induction import outlyingness
     print(_fmt(outlyingness(_load(args), _parse_vec(args.query))))
     return 0
 
 
 def _cmd_contour(args) -> int:
+    from .induction import contour_polyline
     poly = contour_polyline(_load(args), args.alpha)
     lines = ["x,y"] + [f"{_fmt(p[0])},{_fmt(p[1])}" for p in poly]
     _emit("\n".join(lines) + "\n", args.out)
@@ -110,11 +106,13 @@ def _cmd_contour(args) -> int:
 
 
 def _cmd_trimmed_mean(args) -> int:
+    from .induction import trimmed_mean
     print(_fmt_vec(trimmed_mean(_load(args), args.alpha)))
     return 0
 
 
 def _cmd_signtest(args) -> int:
+    from .induction import sign_test
     rv, stat = sign_test(_load(args), _parse_vec(args.theta))
     print("u1,u2,statistic")
     print(f"{_fmt(rv.u[0])},{_fmt(rv.u[1])},{_fmt(stat)}")
@@ -122,11 +120,16 @@ def _cmd_signtest(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .normal import oh_cdf, oh_pdf, oh_threshold
     if args.threshold:
         if args.fpr is None:
             raise ValueError("--threshold requires --fpr")
+        if args.lam is not None:
+            raise ValueError("--lambda does not apply to --threshold")
         print(_fmt(oh_threshold(args.fpr, args.d)))
         return 0
+    if args.fpr is not None:
+        raise ValueError("--fpr requires --threshold")
     fn = oh_pdf if args.pdf else oh_cdf
     if args.lam is not None:
         print(_fmt(fn(args.lam, args.d)))
@@ -141,6 +144,13 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_masking(args) -> int:
+    import dataclasses
+    import json
+    from pathlib import Path
+
+    from .data import SeedSpec
+    from .outliers import ContaminationSpec, masking_experiment
+
     doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise ValueError(f"{args.config}: expected a JSON object, got {type(doc).__name__}")

@@ -69,6 +69,7 @@ class DepthConfig:
         n = self.n_directions
         if isinstance(n, bool) or not isinstance(n, Integral):
             raise TypeError(f"n_directions must be an int, got {type(n).__name__}")
+        object.__setattr__(self, "n_directions", int(n))  # a numpy integer is no JSON number
         if n < 1:
             raise ValueError("n_directions must be >= 1")
         if not isinstance(self.seed, SeedSpec):

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from collections.abc import Iterable
 from dataclasses import asdict, astuple, dataclass, fields
 from numbers import Integral, Real
@@ -53,6 +54,8 @@ class ContaminationSpec:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, kind):  # a JSON true is no count
                 raise TypeError(f"{name} must be {what}, got {type(v).__name__}")
+        for name in ("n_clean", "d", "n_outliers"):  # a numpy integer is no JSON number
+            object.__setattr__(self, name, int(getattr(self, name)))
         center = tuple(self.outlier_center) if isinstance(self.outlier_center, Iterable) else None
         if center is None or not all(isinstance(c, Real) for c in center):
             raise TypeError("outlier_center must be a sequence of real numbers")
@@ -222,6 +225,7 @@ def masking_experiment(
     """
     if not 0.0 < fpr < 1.0:
         raise ValueError(f"fpr must lie in (0, 1), got {fpr}")
+    n_trials = operator.index(n_trials)
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     lam = oh_threshold(fpr, spec.d)
@@ -332,8 +336,8 @@ def compare_identifiers(
         pr = rep.summary("projection")
         cells.append(
             GridCell(
-                d=d,
-                n_outliers=n_out,
+                d=spec.d,
+                n_outliers=spec.n_outliers,
                 distance=float(dist),
                 masking_rate_halfspace=hs.masking_rate,
                 masking_rate_projection=pr.masking_rate,

@@ -116,6 +116,17 @@ def test_oracle_modes(capsys):
     assert code == 0 and lines[0] == "lambda,cdf" and len(lines) == 100
 
 
+
+@pytest.mark.parametrize("argv, message", [
+    (["--cdf", "--d", "2", "--fpr", "0.1"], "--fpr requires --threshold"),
+    (["--pdf", "--d", "2", "--lambda", "0.3", "--fpr", "0.1"], "--fpr requires --threshold"),
+    (["--threshold", "--d", "2", "--fpr", "0.01", "--lambda", "0.5"],
+     "--lambda does not apply to --threshold"),
+])
+def test_oracle_rejects_flags_it_would_ignore(capsys, argv, message):
+    code, out, err = run(capsys, "oracle", *argv)
+    assert code == 1 and out == "" and err == f"error: {message}\n"
+
 def test_masking_cli(capsys, tmp_path):
     cfg = {
         "n_clean": 30, "d": 2, "n_outliers": 1, "outlier_center": [6.0, 0.0],

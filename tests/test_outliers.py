@@ -371,6 +371,23 @@ def test_report_bytes_and_keys():
     ]
 
 
+
+def test_report_from_numpy_integers_same_bytes():
+    def report(integer):
+        spec = ContaminationSpec(
+            n_clean=integer(20), d=integer(2), n_outliers=integer(1), outlier_center=(5.0, 0.0),
+            outlier_spread=0.1, seed=SeedSpec(3),
+        )
+        return masking_experiment(spec, 0.05, integer(2), DepthConfig(n_directions=integer(50)))
+
+    plain, numpy_ints = report(int), report(np.int64)
+    assert numpy_ints.spec == plain.spec and hash(numpy_ints.spec) == hash(plain.spec)
+    assert numpy_ints.to_json() == plain.to_json()
+    assert numpy_ints.to_csv() == plain.to_csv()
+    cell, = compare_identifiers([(np.int64(2), np.int64(1), 6.0)], n_clean=20, fpr=0.05,
+                                n_trials=1, cfg=DepthConfig(50))
+    assert type(cell.d) is int and type(cell.n_outliers) is int
+
 def test_default_masking_grid_shape():
     grid = default_masking_grid(0.01)
     assert {(d, k) for d, k, _ in grid} == {(2, 3), (2, 5)}
