@@ -51,11 +51,12 @@ def _cfg(args):
 
 
 def _cmd_depth(args) -> int:
+    from .data import as_point
     from .halfspace import depth_1d, depth_2d_exact, depth_approx
     ds = _load(args)
     q = _parse_vec(args.query)
     if ds.d == 1:
-        val = depth_1d(ds, q[0])
+        val = depth_1d(ds, as_point(q, 1)[0])
     elif ds.d == 2:
         val = depth_2d_exact(ds, q)
     else:
@@ -126,13 +127,13 @@ def _cmd_oracle(args) -> int:
             raise ValueError("--threshold requires --fpr")
         if args.lam is not None:
             raise ValueError("--lambda does not apply to --threshold")
-        print(_fmt(oh_threshold(args.fpr, args.d)))
+        _emit(_fmt(oh_threshold(args.fpr, args.d)) + "\n", args.out)
         return 0
     if args.fpr is not None:
         raise ValueError("--fpr requires --threshold")
     fn = oh_pdf if args.pdf else oh_cdf
     if args.lam is not None:
-        print(_fmt(fn(args.lam, args.d)))
+        _emit(_fmt(fn(args.lam, args.d)) + "\n", args.out)
         return 0
     name = "pdf" if args.pdf else "cdf"
     lines = [f"lambda,{name}"]

@@ -338,27 +338,39 @@ def _members_at_least(data: np.ndarray, k: int) -> np.ndarray:
 
 
 def _clip(poly: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """Convex ``poly`` cut by a x <= b + tol (unit normals a), the most violated first."""
+    """Convex ``poly`` cut by a x <= b + tol (unit normals a), the most violated first.
+
+    Each cut scores every constraint in one matmul (its rounding follows the
+    shapes), then walks the few vertices in plain floats, the operations of the
+    whole-array formula without numpy's per-call cost on such small arrays.
+    """
     while len(poly) and len(a):
         s = poly @ a.T - b
-        s = s[:, s.max(axis=0).argmax()]
-        if s.max() <= tol:
+        worst = s.max(axis=0)
+        j = worst.argmax()
+        if worst[j] <= tol:
             break
-        inside = s <= tol  # kept, with the edges' crossings of a x = b
-        cross = inside != np.roll(inside, -1)
-        t = np.clip(s / np.where(cross, s - np.roll(s, -1), 1.0), 0.0, 1.0)[:, None]
-        cut = np.stack([poly, poly + t * (np.roll(poly, -1, axis=0) - poly)], axis=1)
-        poly = cut[np.stack([inside, cross], axis=1)]
+        pv, sv = poly.tolist(), s[:, j].tolist()
+        cut = []
+        for p, q, sp, sq in zip(pv, pv[1:] + pv[:1], sv, sv[1:] + sv[:1]):
+            if sp <= tol:
+                cut.append(p)
+            if (sp <= tol) != (sq <= tol):
+                t = min(max(sp / (sp - sq), 0.0), 1.0)
+                cut.append([p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])])
+        poly = np.array(cut).reshape(-1, 2)
     return poly
 
 
 def _centroid(poly: np.ndarray) -> np.ndarray:
     """Area centroid of a convex polygon; the vertex mean when it is thinner than 1e-6."""
-    c = poly - poly.mean(axis=0)
-    cr = c[:, 0] * np.roll(c[:, 1], -1) - np.roll(c[:, 0], -1) * c[:, 1]
+    mean = poly.mean(axis=0)
+    c = poly - mean
+    nxt = np.concatenate([c[1:], c[:1]])
+    cr = c[:, 0] * nxt[:, 1] - nxt[:, 0] * c[:, 1]
     if cr.sum() <= 1e-6 * np.ptp(c, axis=0).max() ** 2:
-        return poly.mean(axis=0)
-    return poly.mean(axis=0) + (c + np.roll(c, -1, axis=0)).T @ cr / (3 * cr.sum())
+        return mean
+    return mean + (c + nxt).T @ cr / (3 * cr.sum())
 
 
 def _snap(pts: np.ndarray, x0: np.ndarray, k: int) -> tuple[np.ndarray, int]:

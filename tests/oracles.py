@@ -193,6 +193,32 @@ def points_in_hull(hull: np.ndarray, points: np.ndarray, tol: float | None = Non
     return inside
 
 
+def clip_rolled(poly: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """``halfspace._clip`` as whole-array operations over the rolled vertices: every
+    vertex with s <= tol, then p + t (q - p) on each edge whose ends fall on
+    either side, t = s_p / (s_p - s_q) clipped to [0, 1]."""
+    while len(poly) and len(a):
+        s = poly @ a.T - b
+        s = s[:, s.max(axis=0).argmax()]
+        if s.max() <= tol:
+            break
+        inside = s <= tol  # kept, with the edges' crossings of a x = b
+        cross = inside != np.roll(inside, -1)
+        t = np.clip(s / np.where(cross, s - np.roll(s, -1), 1.0), 0.0, 1.0)[:, None]
+        cut = np.stack([poly, poly + t * (np.roll(poly, -1, axis=0) - poly)], axis=1)
+        poly = cut[np.stack([inside, cross], axis=1)]
+    return poly
+
+
+def centroid_rolled(poly: np.ndarray) -> np.ndarray:
+    """``halfspace._centroid`` with the next vertex from ``np.roll``."""
+    c = poly - poly.mean(axis=0)
+    cr = c[:, 0] * np.roll(c[:, 1], -1) - np.roll(c[:, 0], -1) * c[:, 1]
+    if cr.sum() <= 1e-6 * np.ptp(c, axis=0).max() ** 2:
+        return poly.mean(axis=0)
+    return poly.mean(axis=0) + (c + np.roll(c, -1, axis=0)).T @ cr / (3 * cr.sum())
+
+
 def _as_ints(values: np.ndarray) -> np.ndarray:
     """Python ints proportional to the float values, all scaled by one power of
     two (``float.as_integer_ratio``): differences and products of them are exact."""

@@ -63,6 +63,15 @@ def test_depth_1d_input(capsys, tmp_path):
     assert code == 0 and out == "0.6\n"
 
 
+def test_depth_1d_query_of_wrong_dimension_exit_1(capsys, tmp_path):
+    # every coordinate of the query is checked, as at d = 2 and d = 3
+    p = tmp_path / "one.csv"
+    p.write_text("1\n2\n3\n4\n5\n")
+    code, out, err = run(capsys, "depth", "--in", str(p), "--query", "3,5")
+    assert code == 1 and out == ""
+    assert err == "error: expected a point of dimension 1, got 2\n"
+
+
 def test_header_flag(capsys, tmp_path):
     p = tmp_path / "h.csv"
     p.write_text("x,y\n" + AXES4_CSV)
@@ -115,6 +124,19 @@ def test_oracle_modes(capsys):
     lines = out.strip().split("\n")
     assert code == 0 and lines[0] == "lambda,cdf" and len(lines) == 100
 
+
+@pytest.mark.parametrize("argv, value", [
+    (["--threshold", "--d", "2", "--fpr", "0.01"], "0.997593480541\n"),
+    (["--cdf", "--d", "2", "--lambda", "0.5"], "0.203452257895\n"),
+    (["--pdf", "--d", "1", "--lambda", "0.3"], "1\n"),
+])
+def test_oracle_single_value_out(capsys, tmp_path, argv, value):
+    # a single value goes to --out like a table, and to stdout without it
+    dest = tmp_path / "o.csv"
+    code, out, _ = run(capsys, "oracle", *argv, "--out", str(dest))
+    assert code == 0 and out == "" and dest.read_text() == value
+    code, out, _ = run(capsys, "oracle", *argv)
+    assert code == 0 and out == value
 
 
 @pytest.mark.parametrize("argv, message", [

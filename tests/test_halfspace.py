@@ -30,6 +30,8 @@ from doqr.projection import po_profile
 from oracles import (
     _line_intersections,
     approx_counts_pairwise,
+    centroid_rolled,
+    clip_rolled,
     depth_bruteforce,
     depth_count_exact,
     enumeration_counts,
@@ -608,6 +610,81 @@ def test_clip_and_centroid():
     sliver = halfspace._clip(square, a, b, 1e-12)
     assert len(sliver) and np.allclose(halfspace._centroid(sliver), [1.0, 1.0])
     assert len(halfspace._clip(square, a, b - [0.1, 0.0], 1e-12)) == 0
+
+
+AXIS_NORMALS = np.array([[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1], [1, -1], [-1, 1], [-1, -1]],
+                        dtype=float)
+
+
+def clip_cases() -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float]]:
+    """(polygon, normals, offsets, tol) for _clip: hand-made edge cases, then 320
+    seeded ones in four kinds: random hulls cut by random unit normals, the same
+    with duplicated vertices or shifted by 1e6, and integer hulls with zeros as
+    -0.0, cut by integer normals at integer offsets, so that vertex scores are
+    exactly 0 or exactly tol.  A cut ends when every vertex scores <= tol, so
+    tol is 0 only where the crossings are exact, else at least 1e-12 times the
+    largest coordinate, as in _levels."""
+    pent = np.array([[0.0, -0.0], [1.0, -0.0], [2.0, 1.0], [1.0, 2.0], [0.0, 1.0]])
+    square = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]])
+    e1, slab = np.array([[1.0, 0.0]]), np.array([[1.0, 0.0], [-1.0, 0.0]])
+    cases = [
+        (pent, e1, np.array([1.0]), 0.0),  # s = +0.0 kept before a cut: t = -0.0
+        (pent, e1, np.array([0.5]), 0.5),  # s = tol kept before a cut: t < 0, clamped
+        (pent, -e1, np.array([-1.0]), 0.0),
+        (pent, -e1, np.array([-1.5]), 0.5),  # s = tol kept after a cut: t > 1, clamped
+        (np.repeat(square, 2, axis=0), np.array([[1.0, 1.0]]) / np.sqrt(2), np.array([1.0]), 1e-12),
+        (np.array([[0.0, 0.0], [2.0, 2.0]]), e1, np.array([1.0]), 0.0),  # zero area
+        (np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [1.0, 1.0]]), e1, np.array([1.5]), 1e-12),
+        (np.array([[1.0, -0.0]]), e1, np.array([0.5]), 0.0),  # a single point, cut away
+        (square, slab, np.array([0.5, -1.0]), 0.0),  # opposite halfplanes: empty
+        (square, slab, np.array([-1.0, 0.5]), 1e-12),
+    ]
+    for i in range(320):
+        rng = np.random.default_rng([20, i])
+        kind = i % 4
+        if kind == 3:
+            poly = halfspace.convex_hull(rng.integers(-3, 4, (int(rng.integers(1, 12)), 2)))
+            poly = np.where((poly == 0) & (rng.random(poly.shape) < 0.5), -0.0, poly)
+            a = AXIS_NORMALS[rng.integers(0, 8, int(rng.integers(1, 6)))]
+            cases.append((poly, a, rng.integers(-3, 4, len(a)).astype(float),
+                          float(rng.integers(1, 3))))
+            continue
+        poly = halfspace.convex_hull(rng.standard_normal((int(rng.integers(1, 40)), 2)))
+        ang = rng.uniform(0.0, 2.0 * np.pi, int(rng.integers(0, 12)))
+        a = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        proj = poly @ a.T
+        b = proj.min(axis=0) + rng.uniform(-0.2, 1.1, len(a)) * np.ptp(proj, axis=0)
+        if kind == 1:
+            poly = np.repeat(poly, rng.integers(1, 3, len(poly)), axis=0)
+        elif kind == 2:
+            poly, b = poly + 1e6, b + 1e6 * a.sum(axis=1)
+        tol = (float(rng.choice([0.0, 0.05, 0.5])) * float(np.ptp(poly, axis=0).max())
+               + 1e-12 * float(np.abs(poly).max()))
+        cases.append((poly, a, b, tol))
+    return cases
+
+
+def test_clip_and_centroid_same_bytes_as_rolled_arrays():
+    # the float loop of _clip and the sliced next vertex of _centroid give the
+    # bytes of the whole-array formulas (oracles.clip_rolled, centroid_rolled)
+    for poly, a, b, tol in clip_cases():
+        got, want = halfspace._clip(poly, a, b, tol), clip_rolled(poly, a, b, tol)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (poly, a, b, tol)
+        for p in filter(len, (poly, got)):
+            assert halfspace._centroid(p).tobytes() == centroid_rolled(p).tobytes(), p
+
+
+def test_levels_same_bytes_under_rolled_clip(monkeypatch):
+    # the self-depth pass on the 210 small samples: counts, median and count
+    # are the bytes it gives with the whole-array clip and centroid
+    samples = median_samples()
+    got = [halfspace._levels(x) for x in samples]
+    monkeypatch.setattr(halfspace, "_clip", clip_rolled)
+    monkeypatch.setattr(halfspace, "_centroid", centroid_rolled)
+    for x, (counts, m, k) in zip(samples, got):
+        want_counts, want_m, want_k = halfspace._levels(x)
+        assert counts.tobytes() == want_counts.tobytes(), x
+        assert m.tobytes() == want_m.tobytes() and k == want_k, x
 
 
 def test_region_levels_match_full_enumeration(enumerated):
