@@ -343,8 +343,12 @@ def _clip(poly: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndar
     Each cut scores every constraint in one matmul (its rounding follows the
     shapes), then walks the few vertices in plain floats, the operations of the
     whole-array formula without numpy's per-call cost on such small arrays.
+    A constraint once cut stays met within rounding (later cuts add points between
+    vertices), so len(a) cuts suffice; more would chase rounding, at tol 0 forever.
     """
-    while len(poly) and len(a):
+    for _ in range(len(a)):
+        if not len(poly):
+            break
         s = poly @ a.T - b
         worst = s.max(axis=0)
         j = worst.argmax()
@@ -373,26 +377,24 @@ def _centroid(poly: np.ndarray) -> np.ndarray:
     return mean + (c + nxt).T @ cr / (3 * cr.sum())
 
 
-def _snap(pts: np.ndarray, x0: np.ndarray, k: int) -> tuple[np.ndarray, int]:
-    """x0 (count k), or the representable point nearest it within rounding that
-    sweeps >= k, with its count: the nearest sample point, or the nearest midpoint
-    0.5 * (p_i + p_j) of a pair with p_i + p_j = 2 x0, exactly the centre of a
-    symmetric pair (p + (-p) is +0.0).  Partners come from searching the
-    reflections 2 x0 - p_i among the sorted projections on a direction of
-    irrational slope, which separates grid points: O(n log n), then one sweep."""
+def _land(pts: np.ndarray, x: np.ndarray, k: int, known: list) -> tuple[np.ndarray, int]:
+    """The first point of one ordered list whose count reaches k, with its count:
+    the sample point and the midpoint 0.5 * (p_i + p_j) of a pair with p_i + p_j =
+    2 x (exact for a symmetric pair: p + (-p) is +0.0) within rounding of x, nearest
+    first and swept, then the ``known`` (point, count) pairs.  The reflections
+    2 x - p_i are searched among projections on a slope that separates grid points."""
     eps, u = 1e-12 * np.abs(pts).max(), np.array([[np.cos(np.pi / 8), np.sin(np.pi / 8)]])
-    r = 2.0 * x0 - pts
+    r = 2.0 * x - pts
     proj, rproj = project(pts, u)[:, 0], project(r, u)[:, 0]
     order = proj.argsort()
     j = order[np.minimum(np.searchsorted(proj[order], rproj - 4.0 * eps), len(pts) - 1)]
     paired = (np.abs(pts[j] - r) <= 2.0 * eps).all(axis=1, keepdims=True)
     mids = np.where(paired, 0.5 * (pts + pts[j]), np.inf)
-    cands = np.stack([c[np.abs(c - x0).max(axis=1).argmin()] for c in (pts, mids)])
-    d = np.abs(cands - x0).max(axis=1)
+    cands = np.stack([c[np.abs(c - x).max(axis=1).argmin()] for c in (pts, mids)])
+    d = np.abs(cands - x).max(axis=1)
     cands = cands[d <= eps][d[d <= eps].argsort(kind="stable")]
-    counts = _min_halfplane_counts(pts, cands)
-    ok = np.flatnonzero(counts >= k)
-    return (cands[ok[0]], int(counts[ok[0]])) if len(ok) else (x0, k)
+    swept = zip(cands, _min_halfplane_counts(pts, cands))
+    return next((p, int(c)) for p, c in [*swept, *known] if c >= k)
 
 
 def _levels(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -404,12 +406,12 @@ def _levels(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     collinear points behind it).  The pass keeps the levels from the count c0 at
     the centroid of the deepest meeting of the slabs between the k-th smallest
     and largest projections on _BOUND_DIRS (they contain D_k) up to that level.
-    The largest level whose region's centroid sweeps >= k is bisected, and that
-    centroid returned, snapped to a representable point (``_snap``); if it sweeps
-    below (no interior), the better of the slab centroid and the deepest sample
-    points, one of which counts that level.
+    The largest level whose region's centroid x sweeps >= k is bisected.  The
+    median (``_land``) is the first to sweep that level (x's count if higher) of
+    the points within rounding of x, x, the sample points at the level nearest x
+    first and the slab centroid, which count the bisection's start when x cannot.
     """
-    mid, n, found = pts.mean(axis=0), len(pts), {}
+    mid, n = pts.mean(axis=0), len(pts)
     q = pts - mid  # exact for data within a factor 2 of their mean, as when shifted
     tol, ext = 1e-12 * np.abs(q).max(), np.stack([q.min(axis=0), q.max(axis=0)])
     box = np.stack([ext[[0, 1, 1, 0], 0], ext[[0, 0, 1, 1], 1]], axis=1)  # counterclockwise
@@ -433,19 +435,16 @@ def _levels(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     a = np.stack([-np.sin(ang), np.cos(ang)], axis=1)
     b = (a * q[piv]).sum(axis=1)
 
-    def reaches(k: int) -> bool:
-        if k not in found:
-            on = (s <= k) & (span >= k)
-            found[k] = centre(_clip(box, a[on], b[on], tol))
-        return found[k][1] >= k
+    @functools.cache
+    def region(k: int):  # D_k's centroid and count, from its k-edges
+        on = (s <= k) & (span >= k)
+        return centre(_clip(box, a[on], b[on], tol))
 
-    lo = largest(max(int(counts.max()), c0), top, reaches)  # top >= k*: D_k lies in its slabs
-    if reaches(lo):
-        return counts, *_snap(pts, *found[lo])
-    pairs = [(x0, c0), *zip(pts[counts == lo], counts[counts == lo])]
-    cands, c = map(np.array, zip(*pairs))  # highest count, smallest norm, lexicographic
-    best = np.lexsort((cands[:, 1], cands[:, 0], cands[:, 0] ** 2 + cands[:, 1] ** 2, -c))[0]
-    return counts, cands[best], int(c[best])
+    lo = largest(max(int(counts.max()), c0), top, lambda k: region(k)[1] >= k)  # top >= k*
+    x, cx = region(lo)
+    deep = np.flatnonzero(counts == lo) if cx < lo else ()  # else x, counting lo, ends the list
+    deep = sorted(deep, key=lambda i: np.abs(pts[i] - x).max())  # ties in row order
+    return counts, *_land(pts, x, max(cx, lo), [(x, cx), *((pts[i], lo) for i in deep), (x0, c0)])
 
 
 @functools.lru_cache(maxsize=64)
@@ -467,9 +466,9 @@ def tukey_median(ds: Dataset) -> tuple[np.ndarray, float]:
     ``sample_depths``; within rounding of a sample point, or of the midpoint of
     a pair symmetric about it, it is that exactly representable point (the
     centre of centrosymmetric data is exactly (0, 0)).  Where a region without
-    interior puts the centroid below k*, the deeper of the slab centroid and
-    the deepest sample points (see ``_levels``).  The depth is the swept count
-    at the point.
+    interior puts the centroid below k*, the deepest sample point nearest it, else
+    the slab centroid (``_levels``): collinear data land on a sample point or the
+    extreme points' midpoint.  The depth is the swept count at the point.
     """
     _require_dim(ds, 2, "tukey_median")
     _, _, pt, cnt = _self_depths(ds)

@@ -1,4 +1,5 @@
 import hashlib
+import signal
 import threading
 import tracemalloc
 
@@ -540,6 +541,50 @@ def test_tukey_median_half_on_a_line_reaches_every_sample_point():
     assert dep == 175 / 400 and abs(m[1] - (0.5 * m[0] + 0.3)) < 1e-15
 
 
+def test_tukey_median_collinear_is_a_sample_point_or_the_extremes_midpoint():
+    # rank-1 data, the all-collinear median_samples and exactly collinear seeded
+    # ones (quarter-integer steps along integer directions, duplicates included):
+    # the median is a sample row, or the midpoint of the two extreme rows, at
+    # the reported count with no tolerance shared with the sweep.  Under a point
+    # reflection, which reverses the line's direction, and two seeded maps, the
+    # image's median is the image of the same row (the midpoint within rounding)
+    samples = [(x, np.array([1.0, -2.0])) for i, x in enumerate(median_samples())
+               if i % 7 == 4 and i % 2]  # lines through the origin along (1, -2)
+    for n in range(1, 41):
+        r = np.random.default_rng([83, n])
+        v = np.array([(1, 0), (0, 1), (1, -2), (3, 1), (-2, 5)][n % 5], dtype=float)
+        samples.append((np.outer(r.integers(-60, 61, n) / 4, v) + r.integers(-20, 21, 2), v))
+    for x, v in samples:
+        ds = Dataset(x)
+        m, dep = tukey_median(ds)
+        assert depth_count_exact(x, m) / ds.n == dep
+        rows = np.flatnonzero((x == m).all(axis=1))
+        ends = (x @ v).argmin(), (x @ v).argmax()
+        assert len(rows) or np.array_equal(m, 0.5 * (x[ends[0]] + x[ends[1]])), x
+        r = np.random.default_rng([89, len(x)])
+        maps = [(-np.eye(2), r.normal(0.0, 5.0, 2))]
+        maps += [(r.standard_normal((2, 2)), r.normal(0.0, 5.0, 2)) for _ in range(2)]
+        for A, b in maps:
+            y = affine_transform(ds, A, b).data
+            m2, dep2 = tukey_median(Dataset(y))
+            assert dep2 == dep, (x, A)
+            if len(rows):
+                assert m2.tobytes() == y[rows[0]].tobytes(), (x, A)
+            else:
+                want = 0.5 * (y[ends[0]] + y[ends[1]])
+                assert np.allclose(m2, want, rtol=0.0, atol=1e-12 * np.abs(y).max()), (x, A)
+
+
+def test_tukey_median_collinear_choice_moves_with_the_data():
+    # six rows on a line whose median interval, rows 2 and 3, lies off the
+    # midpoint of the extreme rows: the deepest row nearest that midpoint, row 3,
+    # for the rows as given and shifted exactly by (-20, -40)
+    x = np.array([[0, 0], [1, 2], [2, 4], [3, 6], [10, 20], [11, 22]], dtype=float)
+    for shift in ([0.0, 0.0], [-20.0, -40.0]):
+        m, dep = tukey_median(Dataset(x + shift))
+        assert m.tobytes() == (x[3] + shift).tobytes() and dep == 0.5
+
+
 def median_samples() -> list[np.ndarray]:
     """210 seeded samples, n from 1 to 40, of seven kinds in turn: general
     position, rounded to 1 decimal, half on one line, duplicate-heavy, all
@@ -672,6 +717,43 @@ def test_clip_and_centroid_same_bytes_as_rolled_arrays():
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), (poly, a, b, tol)
         for p in filter(len, (poly, got)):
             assert halfspace._centroid(p).tobytes() == centroid_rolled(p).tobytes(), p
+
+
+def test_clip_ends_at_tol_zero():
+    # at tol 0 a cut's inexact crossings can score a rounding error above 0, and
+    # cutting again for it need never end: the integer pentagon cut by
+    # -x + y <= 1, and 1e6-shifted 5-vertex normal hulls cut by 3 random unit
+    # normals (an alarm fails the test after 10 s).  _clip stops after len(a)
+    # cuts, every vertex scoring at most 4 ulps of the polygon's largest
+    # coordinate on every constraint
+    pent = np.array([[-3.0, -3.0], [3.0, -3.0], [3.0, -1.0], [1.0, 3.0], [-1.0, 3.0]])
+    cases = [(pent, np.array([[-1.0, 1.0]]) / np.sqrt(2), np.array([1.0]) / np.sqrt(2))]
+    for i in range(40):
+        rng = np.random.default_rng([11, i])
+        poly = np.zeros((0, 2))
+        while len(poly) != 5:
+            poly = halfspace.convex_hull(rng.standard_normal((5, 2)))
+        ang = rng.uniform(0.0, 2.0 * np.pi, 3)
+        a = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        poly = poly + 1e6
+        proj = poly @ a.T
+        cases.append((poly, a, proj.min(axis=0) + rng.uniform(0.1, 0.9, 3) * np.ptp(proj, axis=0)))
+
+    def stop(*args):
+        raise TimeoutError("_clip did not return")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(10)
+    try:
+        got = [halfspace._clip(poly, a, b, 0.0) for poly, a, b in cases]
+    except TimeoutError:
+        got = None
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert got is not None, "_clip did not return"
+    for (poly, a, b), out in zip(cases, got):
+        assert (out @ a.T - b <= 4 * np.spacing(np.abs(poly).max())).all(), (poly, a, b)
 
 
 def test_levels_same_bytes_under_rolled_clip(monkeypatch):
