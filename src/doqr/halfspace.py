@@ -35,7 +35,7 @@ _TWO_PI = 2.0 * np.pi
 # Padding value for angle slots of points coincident with the query.  It must
 # sort after every valid angle and sweep key (< 2*pi).
 _SENTINEL = 10.0
-# Array elements per work block in the batch kernels: a block's buffers stay
+# Array elements per work block in the batch kernels: a block's arrays stay
 # within a per-core cache.
 _CHUNK_BUDGET = 32_768
 # Angular resolution: angle separations within this of exactly pi are treated
@@ -94,11 +94,6 @@ def unit_directions(rng: np.random.Generator, k: int, d: int) -> np.ndarray:
         v[bad, 0] = 1.0
         norms[bad] = 1.0
     return v / norms[:, None]
-
-
-def _block_rows(k: int, width: int) -> int:
-    """Rows per work block of ``width`` elements each: about _CHUNK_BUDGET elements, at most k."""
-    return min(k, max(1, _CHUNK_BUDGET // width))
 
 
 def _usable_cpus() -> int:
@@ -198,33 +193,27 @@ def _min_halfplane_counts(data: np.ndarray, queries: np.ndarray, window=None):
 
     Each query is one row, sorted and merged on its own, so its count does not
     depend on the other queries.  Rows go in blocks of about _CHUNK_BUDGET merged
-    entries through buffers allocated once per call: memory is O(block + n + m).
+    entries, each block's arrays freed before the next: memory is O(block + n + m).
 
     With ``window`` = (floor, top) it also returns (row, angle, S, m0) arrays of
     the semicircle counts S <= top with S + m0 - 1 >= max(floor, counts so far).
     """
     n, m = data.shape[0], queries.shape[0]
     (floor, top), out, found = window or (0, None), np.empty(m, dtype=np.int64), []
-    step = _block_rows(max(m, 1), 2 * n)
-    merged, cum = np.empty((step, 2 * n)), np.empty((step, 2 * n), dtype=np.int64)
-    tmp, coincident = np.empty((step, n)), np.empty((step, n), dtype=bool)
-    flags = np.empty((step, 2 * n), dtype=bool)
-    prod = None if top is None else np.empty_like(cum)  # keeps order, the anchors' indices
+    step = max(1, _CHUNK_BUDGET // (2 * n))
     for s in range(0, m, step):
         q = queries[s : s + step]
-        c = q.shape[0]
-        key, alpha, t = merged[:c, :n], merged[:c, n:], tmp[:c]
-        co, b = coincident[:c], flags[:c, :n]
-        x, y = key, t  # the differences, until the angles are taken
-        np.subtract(data[:, 0], q[:, :1], out=x)
-        np.subtract(data[:, 1], q[:, 1:], out=y)
-        np.logical_and(np.equal(x, 0.0, out=co), np.equal(y, 0.0, out=b), out=co)
-        m0 = co.sum(axis=1)
+        x, y = data[:, 0] - q[:, :1], data[:, 1] - q[:, 1:]
+        coincident = (x == 0.0) & (y == 0.0)
+        m0 = coincident.sum(axis=1)
         nprime = n - m0  # valid (noncoincident) points per row
+        merged = np.empty((len(q), 2 * n))  # the sweep keys, then the angles
+        key, alpha = merged[:, :n], merged[:, n:]
         np.arctan2(y, x, out=alpha)
-        alpha += np.multiply(np.less(alpha, 0.0, out=b), _TWO_PI, out=t)  # np.mod's rounding
-        alpha[np.greater_equal(alpha, _TWO_PI, out=b)] = 0.0
-        alpha[co] = _SENTINEL
+        del x, y
+        alpha += (alpha < 0.0) * _TWO_PI  # np.mod's rounding
+        alpha[alpha >= _TWO_PI] = 0.0
+        alpha[coincident] = _SENTINEL
         alpha.sort(axis=1)  # valid angles first, sentinels last
 
         # Anchor i counts the angles in [alpha_i, b_i) and below b_i - 2*pi, with
@@ -237,26 +226,26 @@ def _min_halfplane_counts(data: np.ndarray, queries: np.ndarray, window=None):
         # and one stable argsort merges them with the sorted angles.  Keys come
         # first, so a key tied with angles counts only those strictly below it.
         np.add(alpha, np.pi - _GAP_EPS, out=key)
-        high = np.greater_equal(key, _TWO_PI, out=b)  # a suffix of each row
-        low = n - high.sum(axis=1)
-        key -= np.multiply(high, _TWO_PI, out=t)
-        key[np.equal(alpha, _SENTINEL, out=b)] = -np.inf  # coincident points anchor nothing
-        order = merged[:c].argsort(axis=1, kind="stable")
-        cu = np.cumsum(np.greater_equal(order, n, out=flags[:c]), axis=1, out=cum[:c])
+        high = key >= _TWO_PI  # a suffix of each row
+        low = n - high.sum(axis=1, keepdims=True)
+        key -= high * _TWO_PI
+        key[alpha == _SENTINEL] = -np.inf  # coincident points anchor nothing
+        order = merged.argsort(axis=1, kind="stable")
         # After the running count of angles, the key of a valid anchor i scores
         # its semicircle S_i = #{angles < key_i} - i (+ n' when high), >= 1 for
         # its own angle; angle j scores (j + 1) - (n + j) + n' = 1 - m0 and a
         # coincident anchor o >= n' scores n' - o <= 0.  So the row max is the
         # fullest semicircle (0 when n' = 0), and a score >= 1 is an anchor's.
-        cu -= order
-        plus = np.greater_equal(order, low[:, None], out=flags[:c])  # high keys, angles
-        cu += np.multiply(plus, nprime[:, None], out=order if top is None else prod[:c])
-        out[s : s + c] = m0 + (nprime - cu.max(axis=1))
+        score = np.cumsum(order >= n, axis=1)
+        score -= order
+        score += (order >= low) * nprime[:, None]  # high keys, angles
+        out[s : s + len(q)] = m0 + (nprime - score.max(axis=1))
         if top is not None:
-            floor = max(floor, int(out[s : s + c].max()))
+            floor = max(floor, int(out[s : s + len(q)].max()))
             lo = np.maximum(floor + 1 - m0, 1)[:, None]
-            r, p = np.divmod(np.flatnonzero((cu >= lo) & (cu <= top)), 2 * n)
-            found.append((r + s, alpha[r, order[r, p]], cu[r, p], m0[r]))
+            r, p = np.divmod(np.flatnonzero((score >= lo) & (score <= top)), 2 * n)
+            found.append((r + s, alpha[r, order[r, p]], score[r, p], m0[r]))
+        del merged, key, alpha, order, score  # before the next block's are made
     return out if top is None else (out, tuple(np.concatenate(f) for f in zip(*found)))
 
 

@@ -115,25 +115,32 @@ def test_batched_counts_match_single_queries(rows, monkeypatch):
             monkeypatch.undo()
 
 
+def of_kind(rng: np.random.Generator, x: np.ndarray, kind: int) -> np.ndarray:
+    """The normal sample x made one of five kinds: 0 general position, 1 rounded
+    to 1 decimal, 2 duplicate-heavy, 3 half on one line, 4 scaled by 1e6 and
+    shifted by 1e7."""
+    n = len(x)
+    if kind == 1:
+        return np.round(x, 1)
+    if kind == 2:
+        return x[rng.integers(0, n // 4 + 1, n)]
+    if kind == 3:
+        t = rng.standard_normal(n // 2)
+        return np.concatenate([np.stack([t, 0.5 * t + 0.3], axis=1), x[n // 2 :]])
+    return 1e6 * x + 1e7 if kind == 4 else x
+
+
 def kernel_cases():
-    """(data, queries) pairs: five families (general position, rounded to 1
-    decimal, duplicate-heavy, half on one line, scaled by 1e6 and shifted by
-    1e7) at n = 9, 40 and 130; queries at the sample points, midpoints of
-    random pairs and random points, plus the line intersections at n = 9."""
+    """(data, queries) pairs: the five kinds of ``of_kind`` at n = 9, 40 and
+    130; queries at the sample points, midpoints of random pairs and random
+    points, plus the line intersections at n = 9."""
     out = []
     for i, n in enumerate((9, 40, 130) * 5):
         rng = np.random.default_rng([61, i])
         x, q = rng.standard_normal((n, 2)), 1.5 * rng.standard_normal((n, 2))
-        kind = i // 3
-        if kind == 1:
-            x = np.round(x, 1)
-        elif kind == 2:
-            x = x[rng.integers(0, n // 4 + 1, n)]
-        elif kind == 3:
-            t = rng.standard_normal(n // 2)
-            x[: n // 2] = np.stack([t, 0.5 * t + 0.3], axis=1)
-        elif kind == 4:
-            x, q = 1e6 * x + 1e7, 1e6 * q + 1e7
+        x = of_kind(rng, x, i // 3)
+        if i // 3 == 4:
+            q = 1e6 * q + 1e7
         a, b = rng.integers(0, n, (2, n))
         queries = [x, 0.5 * (x[a] + x[b]), q]
         if n == 9:
@@ -151,9 +158,40 @@ def test_kernel_golden():
     assert h.hexdigest() == "d33fcafdb3be05478eb0360bfb45951727e7a5638b2c70d2009da4a9f998f403"
 
 
+def test_window_entries_golden():
+    # SHA-256 of the counts and the window entries (row, angle, S, m0) of the
+    # self-depth pass at window (ceil(n/3), n // 2), little-endian, on the
+    # samples of kernel_cases: every Tukey median is built from these entries
+    h = hashlib.sha256()
+    for x, _ in kernel_cases():
+        n = len(x)
+        counts, entries = _min_halfplane_counts(x, x, (-(-n // 3), n // 2))
+        for a in (counts, *entries):
+            h.update(a.astype(a.dtype.newbyteorder("<")).tobytes())
+    assert h.hexdigest() == "429d7809352d9b599dbc995fd103e18ba45731e657597c4dc223c6a84d15619c"
+
+
+def test_levels_same_bytes_at_any_block_size(monkeypatch):
+    # the running window floor depends on the blocking, so the entries the
+    # kernel keeps do too; the levels, median and count read from them do not
+    for n in (5, 24, 60, 130, 400):
+        for kind in range(5):
+            rng = np.random.default_rng([83, n, kind])
+            x = of_kind(rng, rng.standard_normal((n, 2)), kind)
+            runs = []
+            for budget in (None, 2 * n, 6 * n):  # the default, one row, three rows
+                if budget is not None:
+                    monkeypatch.setattr(halfspace, "_CHUNK_BUDGET", budget)
+                counts, median, count = halfspace._levels(x)
+                runs.append((counts.tobytes(), median.tobytes(), count))
+                monkeypatch.undo()
+            assert runs[1] == runs[0] and runs[2] == runs[0], (n, kind)
+
+
 def test_kernel_memory_is_one_block():
-    # about _CHUNK_BUDGET merged entries a block, in buffers of at most 8 bytes
-    # an entry, and O(n + m) vectors: never an (m, n) array (64 MB here)
+    # one block of about _CHUNK_BUDGET merged entries at a time, in a few arrays
+    # of at most 8 bytes an entry, and O(n + m) vectors: never an (m, n) array
+    # (64 MB here)
     x = np.random.default_rng(2).standard_normal((2000, 2))
     _min_halfplane_counts(x, x)  # warm
     n = m = len(x)
@@ -882,7 +920,7 @@ def test_max_depth_affine_invariant_beyond_enumeration_limit():
 
 
 def test_median_pass_memory_is_one_block_plus_window(monkeypatch):
-    # one kernel block (seven buffers of about _CHUNK_BUDGET entries, 8 bytes
+    # one kernel block (a few arrays of about _CHUNK_BUDGET entries, 8 bytes
     # each), O(n) vectors and at most four copies of the window's entries (row,
     # angle, S, m0: 32 bytes): never an (n, n) array (72 MB here)
     x = np.random.default_rng(4).standard_normal((3000, 2))

@@ -55,6 +55,22 @@ def test_sample_contaminated_examples():
     assert ds3 != ds
 
 
+def test_outlier_draws_nest_in_m():
+    # the outliers follow the clean points in one stream: with m outliers a
+    # sample is the first n_clean + m rows of the sample with m' > m outliers
+    for d in (2, 3, 5):
+        centre = tuple(float(c) for c in np.linspace(4.0, -2.0, d))
+        for trial in range(3):
+            def draw(m):
+                spec = ContaminationSpec(n_clean=25, d=d, n_outliers=m, outlier_center=centre,
+                                         outlier_spread=0.5, seed=SeedSpec(31))
+                return sample_contaminated(spec, trial)[0].data
+
+            full = draw(20)
+            for m in range(20):
+                assert np.array_equal(draw(m), full[: 25 + m]), (d, trial, m)
+
+
 def test_identify_thresholds():
     rng = np.random.default_rng(0)
     ds, _ = sample_contaminated(
