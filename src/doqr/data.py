@@ -10,6 +10,7 @@ underlying array is frozen after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,13 @@ class SingularMatrixError(ValueError):
 _U64 = 1 << 64
 
 
+def _as_int(value, name: str) -> int:
+    """``value`` as a Python int: a JSON true is no count, a numpy integer no JSON number."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SeedSpec:
     """Master seed plus a deterministic substream derivation rule.
@@ -40,8 +48,7 @@ class SeedSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.master_seed, bool) or not isinstance(self.master_seed, int):
-            raise TypeError("master_seed must be an int")
+        object.__setattr__(self, "master_seed", _as_int(self.master_seed, "master_seed"))
         if not 0 <= self.master_seed < _U64:
             raise ValueError("master_seed must fit in 64 bits (0 <= seed < 2**64)")
 

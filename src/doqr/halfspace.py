@@ -25,11 +25,10 @@ import functools
 import os
 import threading
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .data import Dataset, SeedSpec, _project_into, as_point, project
+from .data import Dataset, SeedSpec, _as_int, _project_into, as_point, project
 
 _TWO_PI = 2.0 * np.pi
 # Padding value for angle slots of points coincident with the query.  It must
@@ -66,11 +65,8 @@ class DepthConfig:
     seed: SeedSpec = SeedSpec(0)
 
     def __post_init__(self):
-        n = self.n_directions
-        if isinstance(n, bool) or not isinstance(n, Integral):
-            raise TypeError(f"n_directions must be an int, got {type(n).__name__}")
-        object.__setattr__(self, "n_directions", int(n))  # a numpy integer is no JSON number
-        if n < 1:
+        object.__setattr__(self, "n_directions", _as_int(self.n_directions, "n_directions"))
+        if self.n_directions < 1:
             raise ValueError("n_directions must be >= 1")
         if not isinstance(self.seed, SeedSpec):
             raise TypeError("seed must be a SeedSpec")

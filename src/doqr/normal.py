@@ -17,7 +17,7 @@ library.
 from __future__ import annotations
 
 import math
-import operator
+from numbers import Integral
 from statistics import NormalDist
 
 _SQRT2 = math.sqrt(2.0)
@@ -88,7 +88,10 @@ def _gammp(s: float, x: float) -> float:
 
 
 def _check_dim(d) -> int:
-    d = operator.index(d)
+    # the rule of doqr.data._as_int, which this module cannot import without numpy
+    if isinstance(d, bool) or not isinstance(d, Integral):
+        raise TypeError(f"d must be an int, got {type(d).__name__}")
+    d = int(d)
     if d < 1:
         raise ValueError(f"dimension must be a positive integer, got {d}")
     return d
@@ -194,7 +197,11 @@ def oh_pdf(lam: float, d: int) -> float:
     lam = _check_lambda(lam, strict=True)
     d = _check_dim(d)
     q = std_normal_quantile(0.5 * (1.0 + lam))
-    return _SQRT_2PI * 0.5 ** (0.5 * d) / math.gamma(0.5 * d) * q ** (d - 1)
+    if q == 0.0:  # lam below 2**-53: the limit at 0
+        return 1.0 if d == 1 else 0.0
+    # in logs, as chi2_pdf: gamma(d / 2) alone overflows from d = 344
+    log_c = math.log(_SQRT_2PI) - 0.5 * d * math.log(2.0) - math.lgamma(0.5 * d)
+    return math.exp(log_c + (d - 1) * math.log(q))
 
 
 def oh_threshold(fpr: float, d: int) -> float:

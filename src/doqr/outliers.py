@@ -24,11 +24,11 @@ import math
 import operator
 from collections.abc import Iterable
 from dataclasses import asdict, astuple, dataclass, fields
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
-from .data import Dataset, SeedSpec
+from .data import Dataset, SeedSpec, _as_int
 from .halfspace import DepthConfig, _approx_members_at_least, _members_at_least
 from .normal import chi2_quantile, oh_threshold
 from .projection import po_profile
@@ -48,14 +48,11 @@ class ContaminationSpec:
     seed: SeedSpec = SeedSpec(0)
 
     def __post_init__(self):
-        kinds = {"n_clean": (Integral, "an int"), "d": (Integral, "an int"),
-                 "n_outliers": (Integral, "an int"), "outlier_spread": (Real, "a real number")}
-        for name, (kind, what) in kinds.items():
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, kind):  # a JSON true is no count
-                raise TypeError(f"{name} must be {what}, got {type(v).__name__}")
-        for name in ("n_clean", "d", "n_outliers"):  # a numpy integer is no JSON number
-            object.__setattr__(self, name, int(getattr(self, name)))
+        for name in ("n_clean", "d", "n_outliers"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
+        spread = self.outlier_spread
+        if isinstance(spread, bool) or not isinstance(spread, Real):
+            raise TypeError(f"outlier_spread must be a real number, got {type(spread).__name__}")
         center = tuple(self.outlier_center) if isinstance(self.outlier_center, Iterable) else None
         if center is None or not all(isinstance(c, Real) for c in center):
             raise TypeError("outlier_center must be a sequence of real numbers")
@@ -219,53 +216,45 @@ def masking_experiment(
     Per trial the data are regenerated from substream (0, trial).  The
     halfspace threshold is the population lambda at the requested false
     positive rate; the projection cutoff is calibrated empirically once on a
-    clean sample.  The masking rate of a method is the fraction of trials in
-    which at least one planted outlier went undetected (zero by definition
-    when nothing is planted).
+    clean sample.  A method's summary comes from its trial rows: the masking
+    rate is the fraction of trials with at least one planted outlier
+    undetected (zero when nothing is planted), the mean false-positive rate
+    the mean over trials of false positives / n_clean.
     """
-    if not 0.0 < fpr < 1.0:
-        raise ValueError(f"fpr must lie in (0, 1), got {fpr}")
-    n_trials = operator.index(n_trials)
+    n_trials = _as_int(n_trials, "n_trials")
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    lam = oh_threshold(fpr, spec.d)
-    cutoff = projection_cutoff(spec, fpr, cfg)
-    thresholds = {"halfspace": lam, "projection": cutoff}
+    thresholds = {"halfspace": oh_threshold(fpr, spec.d),  # checks fpr before any sampling
+                  "projection": projection_cutoff(spec, fpr, cfg)}
     trials = []
-    masked_trials = {m: 0 for m in METHODS}
-    fp_total = {m: 0.0 for m in METHODS}
     for t in range(n_trials):
         ds, truth = sample_contaminated(spec, trial=t)
         truth_set = set(truth)
         for method in METHODS:
             flagged = identify(ds, method, thresholds[method], cfg)
             fset = set(flagged)
-            detected = tuple(sorted(truth_set & fset))
-            masked = tuple(sorted(truth_set - fset))
-            fp = len(fset - truth_set)
             trials.append(
                 TrialResult(
                     trial=t,
                     method=method,
                     threshold=thresholds[method],
                     n_flagged=len(flagged),
-                    detected_outliers=detected,
-                    masked_outliers=masked,
-                    false_positives=fp,
+                    detected_outliers=tuple(sorted(truth_set & fset)),
+                    masked_outliers=tuple(sorted(truth_set - fset)),
+                    false_positives=len(fset - truth_set),
                 )
             )
-            if masked:
-                masked_trials[method] += 1
-            fp_total[method] += fp / spec.n_clean
-    summaries = tuple(
-        MethodSummary(
+    summaries = []
+    for m in METHODS:
+        rows = [r for r in trials if r.method == m]
+        # a left fold in trial order: sum() compensates float error from Python 3.12
+        fp_rates = (r.false_positives / spec.n_clean for r in rows)
+        summaries.append(MethodSummary(
             method=m,
             threshold=thresholds[m],
-            masking_rate=masked_trials[m] / n_trials,
-            mean_fp_rate=fp_total[m] / n_trials,
-        )
-        for m in METHODS
-    )
+            masking_rate=sum(1 for r in rows if r.masked_outliers) / n_trials,
+            mean_fp_rate=functools.reduce(operator.add, fp_rates, 0.0) / n_trials,
+        ))
     return ExperimentReport(
         spec=spec,
         fpr=fpr,
@@ -273,7 +262,7 @@ def masking_experiment(
         n_directions=cfg.n_directions,
         direction_seed=cfg.seed.master_seed,
         trials=tuple(trials),
-        summaries=summaries,
+        summaries=tuple(summaries),
     )
 
 

@@ -206,3 +206,16 @@ def test_seedspec_validation():
         SeedSpec(1.5)
     with pytest.raises(TypeError, match="master_seed"):  # a JSON true is no seed
         SeedSpec(True)
+
+
+def test_seedspec_numpy_integer_is_a_plain_int():
+    # the rule of DepthConfig and ContaminationSpec: a report must still serialise
+    for seed in (np.int64(3), np.uint64(3)):
+        spec = SeedSpec(seed)
+        assert type(spec.master_seed) is int
+        assert spec == SeedSpec(3) and hash(spec) == hash(SeedSpec(3))
+        assert np.array_equal(spec.generator(0, 1).random(4), SeedSpec(3).generator(0, 1).random(4))
+    assert SeedSpec(np.uint64((1 << 64) - 1)).master_seed == (1 << 64) - 1
+    for flag in (True, np.bool_(True)):
+        with pytest.raises(TypeError, match="master_seed must be an int, got bool"):
+            SeedSpec(flag)

@@ -1,5 +1,7 @@
 import math
+import sys
 
+import numpy as np
 import pytest
 
 from doqr import (
@@ -13,6 +15,7 @@ from doqr import (
     std_normal_cdf,
     std_normal_quantile,
 )
+from doqr.normal import chi2_pdf
 
 # Reference values computed with mpmath at 40 decimal digits.
 PHI_REFERENCE = {
@@ -154,6 +157,43 @@ def test_oh_pdf_monotone_divergent_for_d_ge_2():
         assert oh_pdf(0.999, d) / oh_pdf(0.5, d) > 4.0
         # the divergence is reported, never clipped
         assert math.isfinite(oh_pdf(1 - 1e-12, d))
+
+
+def test_oh_pdf_large_d_matches_log_space_reference():
+    # 2**-(d/2) / gamma(d/2) * q**(d - 1) under- and overflows from d ~ 340 unless taken in logs
+    special = pytest.importorskip("scipy.special")
+    stats = pytest.importorskip("scipy.stats")
+    for d in (1, 2, 3, 5, 50, 340, 344, 1000):
+        for lam in (0.01, 0.5, 0.999999):
+            q = float(special.ndtri(0.5 * (1.0 + lam)))
+            # the chi-square density at q**2 times d(q**2)/d(lambda) = sqrt(2 pi) q exp(q**2 / 2)
+            log_ref = stats.chi2.logpdf(q * q, d) + math.log(q) + 0.5 * q * q
+            ref = math.exp(log_ref + 0.5 * math.log(2.0 * math.pi))
+            got = oh_pdf(lam, d)
+            if ref >= sys.float_info.min:
+                assert abs(got - ref) <= 1e-12 * ref, (d, lam, got, ref)
+            else:
+                assert 0.0 <= got < 2.0 * sys.float_info.min, (d, lam, got, ref)
+    assert oh_pdf(0.999999, 340) > 0.0
+
+
+def test_oh_pdf_at_the_smallest_lambda():
+    # 0.5 * (1 + lam) rounds to 0.5 below 2**-53, so q is 0: the limit there
+    assert oh_pdf(1e-17, 1) == 1.0
+    assert oh_pdf(1e-17, 2) == 0.0 and oh_pdf(5e-324, 3) == 0.0
+
+
+def test_normal_laws_integer_dimension_rule():
+    # the rule of DepthConfig: a bool is no dimension, a numpy integer is a plain one
+    laws = ((chi2_cdf, 1.0), (chi2_pdf, 1.0), (chi2_quantile, 0.5), (oh_cdf, 0.5),
+            (oh_pdf, 0.5), (oh_threshold, 0.01))
+    for law, x in laws:
+        for bad in (True, False, 2.0, "2"):
+            with pytest.raises(TypeError, match="d must be an int"):
+                law(x, bad)
+        assert law(x, np.int64(3)) == law(x, 3)
+        with pytest.raises(ValueError):
+            law(x, np.int64(0))
 
 
 def test_oh_cdf_pdf_derivative_consistency():

@@ -287,6 +287,68 @@ def test_masking_experiment_validation():
         masking_experiment(spec, fpr=0.01, n_trials=0, cfg=CFG)
 
 
+def test_masking_experiment_fpr_checked_before_sampling(monkeypatch):
+    # oh_threshold is the one fpr check, and it runs before calibration and sampling
+    import doqr.outliers as outliers
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("calibrated or sampled with a bad fpr")
+
+    monkeypatch.setattr(outliers, "projection_cutoff", unreachable)
+    monkeypatch.setattr(outliers, "sample_contaminated", unreachable)
+    spec = ContaminationSpec(n_clean=10, d=2, seed=SeedSpec(0))
+    for bad, shown in ((0, "0.0"), (1.0, "1.0"), (-0.2, "-0.2"), (float("nan"), "nan")):
+        with pytest.raises(ValueError, match=rf"fpr must lie in \(0, 1\), got {shown}$"):
+            masking_experiment(spec, fpr=bad, n_trials=5, cfg=CFG)
+
+
+def test_masking_experiment_n_trials_integer_rule():
+    # the rule of DepthConfig: a bool is no count, a numpy integer is a plain one
+    spec = ContaminationSpec(n_clean=10, d=2, seed=SeedSpec(0))
+    for bad in (True, 2.0, "2"):
+        with pytest.raises(TypeError, match="n_trials must be an int"):
+            masking_experiment(spec, fpr=0.05, n_trials=bad, cfg=CFG)
+    rep = masking_experiment(spec, fpr=0.05, n_trials=np.int64(2), cfg=DepthConfig(50))
+    assert type(rep.n_trials) is int and len(rep.trials) == 4
+
+
+def test_summaries_are_functions_of_the_rows():
+    spec = ContaminationSpec(
+        n_clean=60, d=2, n_outliers=3, outlier_center=(3.0, 0.0), outlier_spread=0.5,
+        seed=SeedSpec(9),
+    )
+    rep = masking_experiment(spec, 0.1, 9, CFG)
+    rates = []
+    for s in rep.summaries:
+        rows = [r for r in rep.trials if r.method == s.method]
+        assert [r.trial for r in rows] == list(range(rep.n_trials))
+        assert all(r.threshold == s.threshold for r in rows)
+        assert s.masking_rate == sum(1 for r in rows if r.masked_outliers) / rep.n_trials
+        fp = 0.0
+        for r in rows:
+            fp += r.false_positives / spec.n_clean
+        assert s.mean_fp_rate == fp / rep.n_trials
+        rates += [s.masking_rate, s.mean_fp_rate]
+    # neither summary is trivially 0 or 1 here, for at least one method
+    assert any(0.0 < r < 1.0 for r in rates[::2]) and all(r > 0.0 for r in rates[1::2])
+
+
+def test_halfspace_masks_more_with_real_flags():
+    # the paper-level finding on unsaturated cells: the halfspace threshold is
+    # reachable (level k = 2), it flags clean points, and it still masks more
+    cells = compare_identifiers(
+        default_masking_grid(0.01), n_clean=1000, fpr=0.01, n_trials=20, cfg=DepthConfig(),
+        seed=SeedSpec(2024),
+    )
+    assert len(cells) == 4
+    for c in cells:
+        n, lam = 1000 + c.n_outliers, c.threshold_halfspace
+        # a count of 1 scores above lambda, a count of 2 does not: k = 2
+        assert 1.0 - 2.0 * (1 / n) > lam >= 1.0 - 2.0 * (2 / n), c
+        assert c.fp_rate_halfspace > 0.0, c
+        assert c.masking_rate_halfspace > c.masking_rate_projection, c
+
+
 def test_compare_identifiers_single_cell_consistency():
     seed = SeedSpec(7)
     cells = compare_identifiers(
@@ -392,7 +454,7 @@ def test_report_from_numpy_integers_same_bytes():
     def report(integer):
         spec = ContaminationSpec(
             n_clean=integer(20), d=integer(2), n_outliers=integer(1), outlier_center=(5.0, 0.0),
-            outlier_spread=0.1, seed=SeedSpec(3),
+            outlier_spread=0.1, seed=SeedSpec(integer(3)),
         )
         return masking_experiment(spec, 0.05, integer(2), DepthConfig(n_directions=integer(50)))
 
