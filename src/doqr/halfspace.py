@@ -100,50 +100,48 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _direction_blocks(points: np.ndarray, u: np.ndarray, step: int):
-    """(directions, projections, scratch) per block of ``step`` of the directions u: the
-    (block, m) projections of the m points and scratch of their shape, in two buffers
-    reused from block to block."""
-    step = min(step, len(u))
-    # one allocation for both: freeing it raises glibc's dynamic mmap threshold
-    # (and so its trim threshold) enough that the next call's pair and a
-    # block-sized temporary stay on the heap, instead of being page-faulted in
-    buf, work = np.empty((2, step, len(points)))
-    for uc in np.split(u, range(step, len(u), step)):
-        yield uc, _project_into(points, uc, buf[: len(uc)], work[: len(uc)]), work[: len(uc)]
-
-
-def _scan_directions(scan, points: np.ndarray, u: np.ndarray, width: int = 0) -> list:
-    """``[scan(blocks)]``, ``blocks`` the ``_direction_blocks`` of the directions u over
-    the points, rows of max(m, width) entries; or, when the process may run on two CPUs
-    and u takes two blocks, ``[scan(first half), scan(second half)]``, the second half
-    scanned by one worker thread while the caller scans the first.
+def _scan_directions(score, merge, points: np.ndarray, u: np.ndarray):
+    """``score(directions, projections, scratch)`` of each block of the directions u,
+    the (block, m) projections of the m points and scratch of their shape, folded by
+    ``merge``.  When the process may run on two CPUs and u takes two blocks, one worker
+    thread walks the second half of u while the caller walks the first, and the two
+    folds are merged.
 
     Blocks hold about 2 * _CHUNK_BUDGET entries: numpy's partitions and ufuncs release
     the GIL, per-block overhead holds it, and halving that overhead is what lets two
-    threads overlap.  Every direction is scored on its own, so callers that merge the
-    halves by an exact, order-free reduction get the same bytes on any CPU count.
+    threads overlap.  Every direction is scored on its own, so an exact, order-free
+    ``merge`` gives the same bytes on any CPU count.
     """
-    step = max(1, 2 * _CHUNK_BUDGET // max(len(points), width))
+    step = max(1, 2 * _CHUNK_BUDGET // len(points))
+
+    def walk(v):
+        rows = min(step, len(v))
+        # one allocation for both: freeing it raises glibc's dynamic mmap threshold
+        # (and so its trim threshold) enough that the next call's pair and a
+        # block-sized temporary stay on the heap, instead of being page-faulted in
+        buf, work = np.empty((2, rows, len(points)))
+        blocks = ((uc, buf[: len(uc)], work[: len(uc)]) for uc in np.split(v, range(rows, len(v), rows)))
+        return functools.reduce(merge, (score(uc, _project_into(points, uc, p, w), w) for uc, p, w in blocks))
+
     if len(u) <= step or _usable_cpus() < 2:  # on one CPU a worker only takes turns
-        return [scan(_direction_blocks(points, u, step))]
-    half, out = len(u) // 2, [None, None]
+        return walk(u)
+    half, second = len(u) // 2, [None]
 
-    def second():
+    def run():
         try:
-            out[1] = scan(_direction_blocks(points, u[half:], step))
+            second[0] = walk(u[half:])
         except BaseException as e:  # re-raised by the caller after the join
-            out[1] = e
+            second[0] = e
 
-    worker = threading.Thread(target=second)
+    worker = threading.Thread(target=run)
     worker.start()
     try:
-        out[0] = scan(_direction_blocks(points, u[:half], step))
+        first = walk(u[:half])
     finally:
         worker.join()
-    if isinstance(out[1], BaseException):
-        raise out[1]
-    return out
+    if isinstance(second[0], BaseException):
+        raise second[0]
+    return merge(first, second[0])
 
 
 def _approx_members_at_least(data: np.ndarray, k: int, u: np.ndarray, tol=0.0) -> np.ndarray:
@@ -155,16 +153,13 @@ def _approx_members_at_least(data: np.ndarray, k: int, u: np.ndarray, tol=0.0) -
     if k <= 1 or k > n:  # a sample point always counts itself
         return np.full(n, k <= 1)
 
-    def scan(blocks):
-        out = np.ones(n, dtype=bool)
-        for _, proj, w in blocks:
-            np.copyto(w, proj)
-            w.partition(sorted({k - 1, n - k}), axis=1)
-            low, high = proj + tol < w[:, k - 1 : k], proj - tol > w[:, n - k : n - k + 1]
-            out &= ~(low | high).any(axis=0)
-        return out
+    def score(_, proj, w):
+        np.copyto(w, proj)
+        w.partition(sorted({k - 1, n - k}), axis=1)
+        low, high = proj + tol < w[:, k - 1 : k], proj - tol > w[:, n - k : n - k + 1]
+        return ~(low | high).any(axis=0)
 
-    return np.logical_and.reduce(_scan_directions(scan, data, u))
+    return _scan_directions(score, np.logical_and, data, u)
 
 
 def _require_dim(ds: Dataset, d: int, op: str) -> None:
@@ -260,15 +255,12 @@ def depth_approx(ds: Dataset, x, cfg: DepthConfig) -> float:
     """
     x = as_point(x, ds.d)[None, :]
 
-    def scan(blocks):
-        best = ds.n
-        for uc, proj, _ in blocks:
-            t = project(x, uc).T  # (block, 1); int32 row sums vectorize best
-            le, ge = (proj <= t).sum(axis=1, dtype=np.int32), (proj >= t).sum(axis=1, dtype=np.int32)
-            best = min(best, int(np.minimum(le, ge).min()))
-        return best
+    def score(uc, proj, _):
+        t = project(x, uc).T  # (block, 1); int32 row sums vectorize best
+        le, ge = (proj <= t).sum(axis=1, dtype=np.int32), (proj >= t).sum(axis=1, dtype=np.int32)
+        return int(np.minimum(le, ge).min())
 
-    return min(_scan_directions(scan, ds.data, cfg.directions(ds.d))) / ds.n
+    return _scan_directions(score, min, ds.data, cfg.directions(ds.d)) / ds.n
 
 
 def _cross(o, a, b):

@@ -150,11 +150,10 @@ def quantile_function(ds: Dataset, u) -> np.ndarray:
     if nu == 0.0:
         return m.copy()
     v = u / nu
-    radius = float(np.max(np.linalg.norm(ds.data - m, axis=1)))
     counts = _self_depths(ds)[1]  # m's weight, no sweep: its count is never below a c_i
-    if radius == 0.0 or np.count_nonzero(counts == counts.max()) / ds.n >= nu:
+    if np.count_nonzero(counts == counts.max()) / ds.n >= nu:  # as when every point is m
         return m.copy()
-    t_max = 2.0 * radius
+    t_max = 2.0 * float(np.max(np.linalg.norm(ds.data - m, axis=1)))
     lo, hi = 0.0, t_max
     while hi - lo > 1e-6 * t_max:
         mid = 0.5 * (lo + hi)

@@ -77,9 +77,7 @@ def _gamma_cf(s: float, x: float) -> float:
 
 
 def _gammp(s: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(s, x)."""
-    if x < 0.0 or s <= 0.0:
-        raise ValueError("P(s, x) requires x >= 0 and s > 0")
+    """Regularized lower incomplete gamma P(s, x), for x >= 0 and s > 0."""
     if x == 0.0:
         return 0.0
     if x < s + 1.0:
@@ -98,17 +96,19 @@ def _check_dim(d) -> int:
 
 
 def chi2_cdf(t: float, d: int) -> float:
-    """Chi-square c.d.f. with d degrees of freedom at t >= 0."""
+    """Chi-square c.d.f. with d degrees of freedom at t >= 0 (1 at t = inf)."""
     d = _check_dim(d)
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"chi2_cdf requires t >= 0, got {t}")
-    return _gammp(0.5 * d, 0.5 * t)
+    return 1.0 if t == math.inf else _gammp(0.5 * d, 0.5 * t)
 
 
 def chi2_pdf(t: float, d: int) -> float:
     d = _check_dim(d)
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"chi2_pdf requires t >= 0, got {t}")
+    if t == math.inf:
+        return 0.0
     if t == 0.0:
         if d == 1:
             return math.inf
@@ -157,14 +157,14 @@ def chi2_quantile(p: float, d: int) -> float:
 
 def hd_normal(x_norm: float) -> float:
     """Halfspace depth of a point at distance ``x_norm`` from the normal center."""
-    if x_norm < 0.0:
+    if not x_norm >= 0.0:
         raise ValueError("x_norm must be >= 0")
     return std_normal_cdf(-x_norm)
 
 
 def oh_normal(x_norm: float) -> float:
     """Halfspace outlyingness 1 - 2*depth at distance ``x_norm``; lives in [0, 1)."""
-    if x_norm < 0.0:
+    if not x_norm >= 0.0:
         raise ValueError("x_norm must be >= 0")
     return 1.0 - 2.0 * std_normal_cdf(-x_norm)
 
@@ -180,11 +180,20 @@ def _check_lambda(lam: float, strict: bool) -> float:
     return lam
 
 
+def _radius(lam: float) -> float:
+    """The distance r from the center with outlyingness 1 - 2 Phi(-r) = lam; from
+    lam = 0.5 on, from the upper tail 0.5 * (1 - lam), exact where 0.5 * (1 + lam)
+    would round (to 1.0 above 1 - 2**-53)."""
+    if lam >= 0.5:
+        return -std_normal_quantile(0.5 * (1.0 - lam))
+    return std_normal_quantile(0.5 * (1.0 + lam))
+
+
 def oh_cdf(lam: float, d: int) -> float:
     """C.d.f. of the halfspace outlyingness of a standard d-normal vector."""
     lam = _check_lambda(lam, strict=False)
     d = _check_dim(d)
-    q = std_normal_quantile(0.5 * (1.0 + lam)) if lam > 0.0 else 0.0
+    q = _radius(lam)
     return chi2_cdf(q * q, d)
 
 
@@ -196,7 +205,7 @@ def oh_pdf(lam: float, d: int) -> float:
     """
     lam = _check_lambda(lam, strict=True)
     d = _check_dim(d)
-    q = std_normal_quantile(0.5 * (1.0 + lam))
+    q = _radius(lam)
     if q == 0.0:  # lam below 2**-53: the limit at 0
         return 1.0 if d == 1 else 0.0
     # in logs, as chi2_pdf: gamma(d / 2) alone overflows from d = 344

@@ -196,7 +196,7 @@ def projection_cutoff(spec: ContaminationSpec, fpr: float, cfg: DepthConfig) -> 
     10 * n_clean drawn from substream (1, 0) of the spec's seed; the upper
     order statistic at rank ceil((1 - fpr) * m) is returned.
     """
-    return _calibrated_cutoff(spec.seed, spec.n_clean, spec.d, fpr, cfg)
+    return _calibrated_cutoff(spec.seed, spec.n_clean, spec.d, float(fpr), cfg)
 
 
 @functools.lru_cache(maxsize=32)
@@ -221,7 +221,7 @@ def masking_experiment(
     undetected (zero when nothing is planted), the mean false-positive rate
     the mean over trials of false positives / n_clean.
     """
-    n_trials = _as_int(n_trials, "n_trials")
+    fpr, n_trials = float(fpr), _as_int(n_trials, "n_trials")
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     thresholds = {"halfspace": oh_threshold(fpr, spec.d),  # checks fpr before any sampling

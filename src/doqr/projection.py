@@ -80,33 +80,29 @@ def po_profile(data: np.ndarray, queries: np.ndarray, cfg: DepthConfig) -> np.nd
     """Max scaled deviation |u.x - med| / MAD over the config's directions,
     per query.
 
-    Directions with zero projected MAD are skipped; DegenerateDirectionsError
-    is raised when every direction has zero MAD.  Directions are taken in blocks
-    of about 2 * ``_CHUNK_BUDGET`` projections held in two reused buffers per half
-    (see ``_scan_directions``), so memory is O(block + m + k) for m points and k
-    directions.
+    Directions with zero projected MAD are skipped, so the profile is -inf, and
+    DegenerateDirectionsError is raised, exactly when every direction has zero
+    MAD.  Each block of directions (``_scan_directions``) scores its max per
+    query, and the blocks merge by an elementwise max: memory is
+    O(block + m + k) for m points and k directions.
     """
     u = cfg.directions(data.shape[1])
 
-    def scan(blocks):
-        best, any_good = np.full(len(queries), -np.inf), False
-        for uc, proj, work in blocks:  # (block, m)
-            med, mad = _median_mad_rows(proj, work)
-            ratios = proj if queries is data else project(queries, uc).T
-            good = mad > 0.0
-            any_good |= good.any()
-            if not good.all():  # skip the zero-MAD rows
-                ratios, med, mad = ratios[good], med[good], mad[good]
-            ratios -= med[:, None]
-            np.abs(ratios, out=ratios)
-            ratios /= mad[:, None]
-            np.maximum(best, ratios.max(axis=0, initial=-np.inf), out=best)
-        return best, any_good
+    def score(uc, proj, work):  # (block, m)
+        med, mad = _median_mad_rows(proj, work)
+        ratios = proj if queries is data else project(queries, uc).T
+        good = mad > 0.0
+        if not good.all():  # skip the zero-MAD rows
+            ratios, med, mad = ratios[good], med[good], mad[good]
+        ratios -= med[:, None]
+        np.abs(ratios, out=ratios)
+        ratios /= mad[:, None]
+        return ratios.max(axis=0, initial=-np.inf)
 
-    parts = _scan_directions(scan, data, u, len(queries))
-    if not any(good for _, good in parts):
+    best = _scan_directions(score, np.maximum, data, u)
+    if np.isneginf(best).all():
         raise DegenerateDirectionsError(f"all {len(u)} sampled directions have zero MAD")
-    return np.maximum.reduce([best for best, _ in parts])
+    return best
 
 
 def po_approx(ds: Dataset, x, cfg: DepthConfig) -> float:

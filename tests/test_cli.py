@@ -129,8 +129,9 @@ def test_oracle_modes(capsys):
     (["--threshold", "--d", "2", "--fpr", "0.01"], "0.997593480541\n"),
     (["--cdf", "--d", "2", "--lambda", "0.5"], "0.203452257895\n"),
     (["--pdf", "--d", "1", "--lambda", "0.3"], "1\n"),
-    # gamma(172) alone overflows a float: the density is evaluated in logs
-    (["--pdf", "--d", "344", "--lambda", "0.999999"], "1.02564111539e-124\n"),
+    # gamma(172) alone overflows a float: the density is evaluated in logs, and
+    # q**343 from the exact upper tail (mpmath at 50 digits: 1.0256411169576e-124)
+    (["--pdf", "--d", "344", "--lambda", "0.999999"], "1.02564111696e-124\n"),
 ])
 def test_oracle_single_value_out(capsys, tmp_path, argv, value):
     # a single value goes to --out like a table, and to stdout without it

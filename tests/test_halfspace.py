@@ -1,4 +1,5 @@
 import hashlib
+import operator
 import signal
 import threading
 import tracemalloc
@@ -21,7 +22,7 @@ from doqr import (
     tukey_median,
     unit_directions,
 )
-from doqr import halfspace
+from doqr import halfspace, projection
 from doqr.halfspace import (
     _approx_members_at_least,
     _min_halfplane_counts,
@@ -353,22 +354,37 @@ def test_depth_approx_memory_is_a_few_blocks():
 
 
 def _on_cpus(monkeypatch, cpus: int, f, *args):
-    """f(*args) with the CPU probe reading ``cpus``, and how many halves it scanned
-    (0 when it walked no directions); an error's message in place of a value."""
-    halves, direction_blocks = [], halfspace._direction_blocks
+    """f(*args) with the CPU probe reading ``cpus``, and how many threads scored its
+    blocks (0 when it walked no directions); an error's message in place of a value."""
+    threads, walk = set(), halfspace._scan_directions
 
-    def blocks(*a):
-        halves.append(a)
-        return direction_blocks(*a)
+    def scan(score, *a):
+        def seen(*b):
+            threads.add(threading.current_thread())
+            return score(*b)
+
+        return walk(seen, *a)
 
     with monkeypatch.context() as m:
         m.setattr(halfspace, "_usable_cpus", lambda: cpus)
-        m.setattr(halfspace, "_direction_blocks", blocks)
+        m.setattr(halfspace, "_scan_directions", scan)
+        m.setattr(projection, "_scan_directions", scan)
         try:
             out = f(*args)
         except DegenerateDirectionsError as e:
             out = str(e)
-    return (out.tobytes() if isinstance(out, np.ndarray) else out), len(halves)
+    return (out.tobytes() if isinstance(out, np.ndarray) else out), len(threads)
+
+
+def _half_rows(points, u):
+    """The block rows of the walk over the directions u, in merge order, as the
+    rows the calling thread scored and those a worker scored."""
+    caller = threading.current_thread()
+    rows = _scan_directions(
+        lambda uc, proj, w: [(threading.current_thread() is caller, len(uc))], operator.add, points, u
+    )
+    assert rows == sorted(rows, key=lambda r: not r[0])  # the caller's half merges first
+    return [r for c, r in rows if c], [r for c, r in rows if not c]
 
 
 def test_direction_split_rule(monkeypatch):
@@ -376,23 +392,17 @@ def test_direction_split_rule(monkeypatch):
     # CPUs and the directions take two blocks of 2 * _CHUNK_BUDGET entries
     monkeypatch.setattr(halfspace, "_CHUNK_BUDGET", 50)  # 10 rows of 10 points
     pts, u = np.zeros((10, 2)), unit_directions(np.random.default_rng(0), 41, 2)
-
-    def rows(blocks):
-        return [len(uc) for uc, _, _ in blocks]
-
     for cpus, k, want in (
-        (2, 10, [[10]]), (2, 11, [[5], [6]]), (2, 41, [[10, 10], [10, 10, 1]]),
-        (1, 11, [[10, 1]]), (1, 41, [[10, 10, 10, 10, 1]]), (8, 1, [[1]]),
+        (2, 10, ([10], [])), (2, 11, ([5], [6])), (2, 41, ([10, 10], [10, 10, 1])),
+        (1, 11, ([10, 1], [])), (1, 41, ([10, 10, 10, 10, 1], [])), (8, 1, ([1], [])),
     ):
         monkeypatch.setattr(halfspace, "_usable_cpus", lambda: cpus)
-        assert _scan_directions(rows, pts, u[:k]) == want
-    # rows of max(m, width) entries: 5 points scored for 20 queries
-    assert _scan_directions(rows, pts[:5], u[:11], 20) == [[5], [5, 1]]
+        assert _half_rows(pts, u[:k]) == want
 
 
 def test_direction_split_same_bytes_as_one_cpu(monkeypatch):
-    # every direction is scored on its own, and the halves merge by max / OR
-    # (po_profile), AND (the level test) and min (depth_approx): the same bytes
+    # every direction is scored on its own, and the blocks and halves merge by
+    # max (po_profile), AND (the level test) and min (depth_approx): the same bytes
     # on one CPU and two, on both sides of the two-block rule (100 directions
     # take two blocks from m = 656 at the real budget, from m = 9 at 420)
     cfg = DepthConfig(100, SeedSpec(11))
@@ -442,15 +452,14 @@ def test_direction_split_errors_reach_the_caller(monkeypatch, where):
     pts, u = np.zeros((10, 2)), unit_directions(np.random.default_rng(0), 20_000, 2)
     caller = threading.current_thread()
 
-    def scan(blocks):
-        for _ in blocks:
-            if (threading.current_thread() is caller) == (where == "caller"):
-                raise KeyError(where)
+    def score(*block):
+        if (threading.current_thread() is caller) == (where == "caller"):
+            raise KeyError(where)
         return 0
 
     before = threading.active_count()
     with pytest.raises(KeyError, match=where):
-        _scan_directions(scan, pts, u)
+        _scan_directions(score, min, pts, u)
     assert threading.active_count() == before
 
 

@@ -293,6 +293,13 @@ def test_quantile_zero_index_is_median():
         quantile_function(ds, [1.0, 0.0])
 
 
+def test_quantile_of_equal_points_is_the_point():
+    # every count is n, so the median's weight 1 reaches any ||u|| < 1
+    ds = Dataset(np.tile([[1.5, -2.0]], (7, 1)))
+    for u in ([0.3, 0.4], [0.0, 0.99], [-0.7, 0.0]):
+        assert quantile_function(ds, u).tolist() == [1.5, -2.0]
+
+
 def test_quantile_direction_fidelity():
     rng = np.random.default_rng(14)
     ds = Dataset(rng.standard_normal((80, 2)))

@@ -106,6 +106,18 @@ def test_chi2_domain_errors():
             chi2_quantile(p, 2)
 
 
+def test_chi2_law_at_its_edges():
+    # the limits at t = inf; a NaN is no argument (it ran 10 000 fraction terms)
+    for d in (1, 2, 3, 10):
+        assert chi2_cdf(math.inf, d) == 1.0 and chi2_pdf(math.inf, d) == 0.0
+        for law in (chi2_cdf, chi2_pdf):
+            with pytest.raises(ValueError, match="requires t >= 0, got nan"):
+                law(math.nan, d)
+    for law in (hd_normal, oh_normal):
+        with pytest.raises(ValueError, match="x_norm must be >= 0"):
+            law(math.nan)
+
+
 def test_hd_oh_normal_basics():
     assert hd_normal(0.0) == 0.5
     assert abs(hd_normal(1.96) - 0.0250) <= 1e-4
@@ -165,7 +177,7 @@ def test_oh_pdf_large_d_matches_log_space_reference():
     stats = pytest.importorskip("scipy.stats")
     for d in (1, 2, 3, 5, 50, 340, 344, 1000):
         for lam in (0.01, 0.5, 0.999999):
-            q = float(special.ndtri(0.5 * (1.0 + lam)))
+            q = -float(special.ndtri(0.5 * (1.0 - lam)))  # 1 - lam is exact from 0.5 on
             # the chi-square density at q**2 times d(q**2)/d(lambda) = sqrt(2 pi) q exp(q**2 / 2)
             log_ref = stats.chi2.logpdf(q * q, d) + math.log(q) + 0.5 * q * q
             ref = math.exp(log_ref + 0.5 * math.log(2.0 * math.pi))
@@ -175,6 +187,20 @@ def test_oh_pdf_large_d_matches_log_space_reference():
             else:
                 assert 0.0 <= got < 2.0 * sys.float_info.min, (d, lam, got, ref)
     assert oh_pdf(0.999999, 340) > 0.0
+
+
+def test_oh_laws_near_lambda_one_match_scipy():
+    # q from the upper tail 0.5 * (1 - lam), exact in its argument: 0.5 * (1 + lam)
+    # rounds to 1.0 above 1 - 2**-53, and costs q relative precision below that
+    stats = pytest.importorskip("scipy.stats")
+    for lam in (0.5, 0.9, 0.999999, 1 - 1e-12, 1 - 2**-52, 1 - 2**-53):
+        q = float(stats.norm.isf(0.5 * (1.0 - lam)))
+        for d in (1, 2, 3, 5, 344):
+            assert abs(oh_cdf(lam, d) - stats.chi2.cdf(q * q, d)) <= 1e-15, (d, lam)
+            log_ref = stats.chi2.logpdf(q * q, d) + math.log(q) + 0.5 * q * q
+            ref = math.exp(log_ref + 0.5 * math.log(2.0 * math.pi))
+            assert abs(oh_pdf(lam, d) - ref) <= 1e-12 * ref, (d, lam, oh_pdf(lam, d), ref)
+    assert f"{oh_pdf(0.9999999999999999, 2):.12g}" == "10.392933368"
 
 
 def test_oh_pdf_at_the_smallest_lambda():

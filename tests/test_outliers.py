@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -465,6 +466,25 @@ def test_report_from_numpy_integers_same_bytes():
     cell, = compare_identifiers([(np.int64(2), np.int64(1), 6.0)], n_clean=20, fpr=0.05,
                                 n_trials=1, cfg=DepthConfig(50))
     assert type(cell.d) is int and type(cell.n_outliers) is int
+
+
+def test_numpy_float_fpr_is_used_as_a_python_float():
+    # a float32 fpr is the float it holds: the report serializes, and the
+    # cutoff's rank ceil((1 - fpr) * m) is taken in float64 (float32 gives 990)
+    fpr = np.float32(0.01)
+    spec = ContaminationSpec(n_clean=100, d=2, n_outliers=1, outlier_center=(5.0, 0.0),
+                             outlier_spread=0.1, seed=SeedSpec(3))
+    cfg = DepthConfig(50)
+    cal = spec.seed.generator(1, 0).standard_normal((1000, 2))
+    scores = np.sort(po_profile(cal, cal, cfg))
+    assert math.ceil((1.0 - float(fpr)) * 1000) == 991 and scores[989] < scores[990]
+    assert projection_cutoff(spec, fpr, cfg) == scores[990]
+    small = ContaminationSpec(n_clean=20, d=2, n_outliers=1, outlier_center=(5.0, 0.0),
+                              outlier_spread=0.1, seed=SeedSpec(3))
+    rep = masking_experiment(small, fpr, 2, cfg)
+    assert type(rep.fpr) is float and json.loads(rep.to_json())["config"]["fpr"] == float(fpr)
+    assert rep.to_json() == masking_experiment(small, float(fpr), 2, cfg).to_json()
+
 
 def test_default_masking_grid_shape():
     grid = default_masking_grid(0.01)

@@ -1,4 +1,7 @@
+import operator
+import threading
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -232,8 +235,12 @@ def test_po_profile_zero_mad_in_one_half(monkeypatch):
             for cpus in (1, 2):
                 monkeypatch.setattr(halfspace, "_usable_cpus", lambda: cpus)
                 got.append(_profile_or_error(po_profile, data, data, _FixedDirections(dirs)))
-            rows = halfspace._scan_directions(lambda b: sum(len(uc) for uc, _, _ in b), data, dirs)
-            assert rows == [10, 10]  # two halves
+            caller = threading.current_thread()
+            rows = halfspace._scan_directions(
+                lambda uc, p, w: Counter({threading.current_thread() is caller: len(uc)}),
+                operator.add, data, dirs,
+            )
+            assert rows == {True: 10, False: 10}  # two halves: the caller's and a worker's
             assert got[0] == got[1]
             if (dirs[:, :-1] == 0.0).all():
                 assert got[1] == "all 20 sampled directions have zero MAD"
