@@ -198,14 +198,14 @@ def project(points: np.ndarray, u: np.ndarray) -> np.ndarray:
     (k, m) buffer, summed coordinate by coordinate rather than by matmul, so that a
     row's rounding does not depend on the other rows: a point projects
     bit-identically alone and in a sample."""
-    return _project_into(points, u, np.empty((u.shape[0], points.shape[0]))).T
+    return _project_into(np.ascontiguousarray(points.T), u, np.empty((u.shape[0], points.shape[0]))).T
 
 
-def _project_into(points: np.ndarray, u: np.ndarray, out: np.ndarray, tmp=None) -> np.ndarray:
-    """``project``'s (k, m) buffer written into ``out``, the products into ``tmp`` (or new)."""
-    np.multiply.outer(u[:, 0], points[:, 0], out=out)
-    for j in range(1, points.shape[1]):
-        out += np.multiply.outer(u[:, j], points[:, j], out=tmp)
+def _project_into(cols: np.ndarray, u: np.ndarray, out: np.ndarray, tmp=None) -> np.ndarray:
+    """``project``'s (k, m) buffer of the (d, m) rows ``cols`` in ``out``, products in ``tmp`` (or new)."""
+    np.multiply(u[:, :1], cols[0], out=out)
+    for j in range(1, len(cols)):
+        out += np.multiply(u[:, j : j + 1], cols[j], out=tmp)
     return out
 
 

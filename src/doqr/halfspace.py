@@ -14,9 +14,9 @@ covers a closed semicircle of point angles, so the minimal closed count
 equals n' minus the maximal number of angles inside an open semicircle, and
 the maximizing open semicircle can be anchored just below one of the point
 angles: max over i of #{j : angle_j in [angle_i, angle_i + pi)}.  With the
-angles sorted, the semicircle bounds are sorted too, and one stable merge of
-the bounds with the angles per query, then a running count of the angles,
-evaluates all anchors.
+angles sorted, anchor i's count is the number of angles below its semicircle
+bound less i, so one binary search of the bounds in the sorted angles per
+query evaluates all anchors.
 """
 
 from __future__ import annotations
@@ -112,16 +112,17 @@ def _scan_directions(score, merge, points: np.ndarray, u: np.ndarray):
     threads overlap.  Every direction is scored on its own, so an exact, order-free
     ``merge`` gives the same bytes on any CPU count.
     """
-    step = max(1, 2 * _CHUNK_BUDGET // len(points))
+    cols = np.ascontiguousarray(points.T)  # (d, m) coordinate rows
+    step = max(1, 2 * _CHUNK_BUDGET // cols.shape[1])
 
     def walk(v):
         rows = min(step, len(v))
         # one allocation for both: freeing it raises glibc's dynamic mmap threshold
         # (and so its trim threshold) enough that the next call's pair and a
         # block-sized temporary stay on the heap, instead of being page-faulted in
-        buf, work = np.empty((2, rows, len(points)))
+        buf, work = np.empty((2, rows, cols.shape[1]))
         blocks = ((uc, buf[: len(uc)], work[: len(uc)]) for uc in np.split(v, range(rows, len(v), rows)))
-        return functools.reduce(merge, (score(uc, _project_into(points, uc, p, w), w) for uc, p, w in blocks))
+        return functools.reduce(merge, (score(uc, _project_into(cols, uc, p, w), w) for uc, p, w in blocks))
 
     if len(u) <= step or _usable_cpus() < 2:  # on one CPU a worker only takes turns
         return walk(u)
@@ -182,25 +183,25 @@ def depth_1d(ds: Dataset, x: float) -> float:
 def _min_halfplane_counts(data: np.ndarray, queries: np.ndarray, window=None):
     """Exact min closed-halfplane counts (depth * n) for many 2-D queries.
 
-    Each query is one row, sorted and merged on its own, so its count does not
-    depend on the other queries.  Rows go in blocks of about _CHUNK_BUDGET merged
-    entries, each block's arrays freed before the next: memory is O(block + n + m).
+    Each query is one row, sorted and searched on its own, so its count does not
+    depend on the other queries.  Rows go in blocks of about _CHUNK_BUDGET / 2
+    angles, each block's arrays freed before the next: memory is O(block + n + m).
 
     With ``window`` = (floor, top) it also returns (row, angle, S, m0) arrays of
-    the semicircle counts S <= top with S + m0 - 1 >= max(floor, counts so far).
+    the semicircle counts S <= top with S + m0 - 1 >= max(floor, counts so far),
+    by row, then by sweep key, ties by anchor.
     """
     n, m = data.shape[0], queries.shape[0]
     (floor, top), out, found = window or (0, None), np.empty(m, dtype=np.int64), []
     step = max(1, _CHUNK_BUDGET // (2 * n))
+    cols, anchor = np.ascontiguousarray(data.T), np.arange(n)
     for s in range(0, m, step):
         q = queries[s : s + step]
-        x, y = data[:, 0] - q[:, :1], data[:, 1] - q[:, 1:]
+        x, y = cols[0] - q[:, :1], cols[1] - q[:, 1:]
         coincident = (x == 0.0) & (y == 0.0)
         m0 = coincident.sum(axis=1)
         nprime = n - m0  # valid (noncoincident) points per row
-        merged = np.empty((len(q), 2 * n))  # the sweep keys, then the angles
-        key, alpha = merged[:, :n], merged[:, n:]
-        np.arctan2(y, x, out=alpha)
+        alpha = np.arctan2(y, x)
         del x, y
         alpha += (alpha < 0.0) * _TWO_PI  # np.mod's rounding
         alpha[alpha >= _TWO_PI] = 0.0
@@ -212,31 +213,29 @@ def _min_halfplane_counts(data: np.ndarray, queries: np.ndarray, window=None):
         # exactly pi away count as antipodal and fall outside the open semicircle.
         # Valid angles lie in [0, 2*pi), so below b_i < 2*pi nothing wraps, and
         # from b_i >= 2*pi on all n' angles lie below b_i: one comparison per
-        # anchor, with the key b_i or b_i - 2*pi.  Sorted angles give sorted
-        # bounds, so the keys are two sorted runs (then the coincident points'),
-        # and one stable argsort merges them with the sorted angles.  Keys come
-        # first, so a key tied with angles counts only those strictly below it.
-        np.add(alpha, np.pi - _GAP_EPS, out=key)
+        # anchor, with the key b_i or b_i - 2*pi (> 0 either way).  With the angles
+        # sorted, S_i = #{angles < key_i} - i (+ n' when high): a key tied with
+        # angles counts only those strictly below it.  S_i >= 1 for a valid anchor's
+        # own angle; a coincident anchor i >= n' (key -inf) scores n' - i <= 0, so
+        # the row max over anchors is the fullest semicircle (0 when n' = 0).
+        key = alpha + (np.pi - _GAP_EPS)
         high = key >= _TWO_PI  # a suffix of each row
-        low = n - high.sum(axis=1, keepdims=True)
-        key -= high * _TWO_PI
+        np.subtract(key, _TWO_PI, out=key, where=high)
         key[alpha == _SENTINEL] = -np.inf  # coincident points anchor nothing
-        order = merged.argsort(axis=1, kind="stable")
-        # After the running count of angles, the key of a valid anchor i scores
-        # its semicircle S_i = #{angles < key_i} - i (+ n' when high), >= 1 for
-        # its own angle; angle j scores (j + 1) - (n + j) + n' = 1 - m0 and a
-        # coincident anchor o >= n' scores n' - o <= 0.  So the row max is the
-        # fullest semicircle (0 when n' = 0), and a score >= 1 is an anchor's.
-        score = np.cumsum(order >= n, axis=1)
-        score -= order
-        score += (order >= low) * nprime[:, None]  # high keys, angles
+        score = np.empty(alpha.shape, dtype=np.int64)
+        for r in range(len(q)):
+            score[r] = alpha[r].searchsorted(key[r], side="left")
+        score -= anchor
+        np.add(score, nprime[:, None], out=score, where=high)
         out[s : s + len(q)] = m0 + (nprime - score.max(axis=1))
         if top is not None:
             floor = max(floor, int(out[s : s + len(q)].max()))
             lo = np.maximum(floor + 1 - m0, 1)[:, None]
-            r, p = np.divmod(np.flatnonzero((score >= lo) & (score <= top)), 2 * n)
-            found.append((r + s, alpha[r, order[r, p]], score[r, p], m0[r]))
-        del merged, key, alpha, order, score  # before the next block's are made
+            r, i = np.nonzero((score >= lo) & (score <= top))
+            o = np.lexsort((key[r, i], r))  # stable: ties keep anchor order
+            r, i = r[o], i[o]
+            found.append((r + s, alpha[r, i], score[r, i], m0[r]))
+        del alpha, key, high, score  # before the next block's are made
     return out if top is None else (out, tuple(np.concatenate(f) for f in zip(*found)))
 
 
@@ -346,12 +345,13 @@ def _clip(poly: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndar
 def _centroid(poly: np.ndarray) -> np.ndarray:
     """Area centroid of a convex polygon; the vertex mean when it is thinner than 1e-6."""
     mean = poly.mean(axis=0)
-    c = poly - mean
+    e = np.frexp(np.abs(poly - mean).max())[1]
+    c = np.ldexp(poly - mean, -e)  # exactly into [0.5, 1): no product over- or underflows
     nxt = np.concatenate([c[1:], c[:1]])
     cr = c[:, 0] * nxt[:, 1] - nxt[:, 0] * c[:, 1]
     if cr.sum() <= 1e-6 * np.ptp(c, axis=0).max() ** 2:
         return mean
-    return mean + (c + nxt).T @ cr / (3 * cr.sum())
+    return mean + np.ldexp((c + nxt).T @ cr / (3 * cr.sum()), e)
 
 
 def _land(pts: np.ndarray, x: np.ndarray, k: int, known: list) -> tuple[np.ndarray, int]:

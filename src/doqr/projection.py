@@ -35,13 +35,15 @@ def _median_partitioned(v: np.ndarray, j: int):
 
 def _median_mad_rows(rows: np.ndarray, work: np.ndarray):
     """Median (as +0.0 when zero) and MAD of each row, read from in-place
-    partitions of ``work``, a buffer of the rows' shape; ``rows`` is unchanged."""
+    partitions of ``work``, a buffer of the rows' shape; ``rows`` is left holding
+    the absolute deviations |row - median|."""
     j = rows.shape[-1] // 2
     np.copyto(work, rows)
     work.partition(j, axis=-1)
     med = _median_partitioned(work, j) + 0.0
-    np.subtract(rows, np.expand_dims(med, -1), out=work)
-    np.abs(work, out=work)
+    rows -= np.expand_dims(med, -1)
+    np.abs(rows, out=rows)
+    np.copyto(work, rows)
     work.partition(j, axis=-1)
     return med, _median_partitioned(work, j)
 
@@ -51,7 +53,7 @@ def median_mad(values: np.ndarray):
     midpoint-average convention; a zero median is returned as +0.0.  Each is read
     from one partition at the upper central index, not a full sort, with the same
     order statistics."""
-    rows = np.asarray(values, dtype=float).T
+    rows = np.array(values, dtype=float).T
     return _median_mad_rows(rows, np.empty(rows.shape))
 
 
@@ -89,13 +91,11 @@ def po_profile(data: np.ndarray, queries: np.ndarray, cfg: DepthConfig) -> np.nd
     u = cfg.directions(data.shape[1])
 
     def score(uc, proj, work):  # (block, m)
-        med, mad = _median_mad_rows(proj, work)
-        ratios = proj if queries is data else project(queries, uc).T
+        med, mad = _median_mad_rows(proj, work)  # proj now holds the sample's deviations
+        ratios = proj if queries is data else np.abs(project(queries, uc).T - med[:, None])
         good = mad > 0.0
         if not good.all():  # skip the zero-MAD rows
-            ratios, med, mad = ratios[good], med[good], mad[good]
-        ratios -= med[:, None]
-        np.abs(ratios, out=ratios)
+            ratios, mad = ratios[good], mad[good]
         ratios /= mad[:, None]
         return ratios.max(axis=0, initial=-np.inf)
 

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doqr import (
     Dataset,
@@ -190,14 +192,15 @@ def test_levels_same_bytes_at_any_block_size(monkeypatch):
 
 
 def test_kernel_memory_is_one_block():
-    # one block of about _CHUNK_BUDGET merged entries at a time, in a few arrays
-    # of at most 8 bytes an entry, and O(n + m) vectors: never an (m, n) array
-    # (64 MB here)
+    # one block of about _CHUNK_BUDGET / 2 angles at a time, in three arrays of
+    # 8 bytes an entry (angles, sweep keys, semicircle counts), and O(n + m)
+    # vectors: never a 2n-wide merge of keys and angles (three arrays of
+    # _CHUNK_BUDGET entries) nor an (m, n) array (64 MB here)
     x = np.random.default_rng(2).standard_normal((2000, 2))
     _min_halfplane_counts(x, x)  # warm
     n = m = len(x)
-    bound = 8 * (6 * halfspace._CHUNK_BUDGET + 4 * (n + m))  # bytes
-    assert bound < 4e6
+    bound = 8 * (2 * halfspace._CHUNK_BUDGET + 4 * (n + m))  # bytes
+    assert bound < 1e6
     tracemalloc.start()
     try:
         _min_halfplane_counts(x, x)
@@ -205,6 +208,36 @@ def test_kernel_memory_is_one_block():
     finally:
         tracemalloc.stop()
     assert peak < bound
+
+
+@st.composite
+def integer_sweeps(draw):
+    """An integer-valued sample (|coordinates| <= 1000) with a collinear run and
+    duplicates, and queries: its points, midpoints of its pairs and other
+    integer points, some on the run's line."""
+    coord, step = st.integers(-1000, 1000), st.integers(-9, 9)
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=25))
+    (a0, a1), (b0, b1) = draw(st.tuples(coord, coord)), draw(st.tuples(step, step))
+    line = [(a0 + t * b0, a1 + t * b1) for t in range(-12, 13)]
+    line = [p for p in line if max(map(abs, p)) <= 1000]
+    pts += draw(st.lists(st.sampled_from(line), max_size=12))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=8))
+    x = np.array(draw(st.permutations(pts)), dtype=float)
+    index = st.integers(0, len(x) - 1)
+    i, j = np.array(draw(st.lists(st.tuples(index, index), max_size=15)), dtype=int).reshape(-1, 2).T
+    others = draw(st.lists(st.one_of(st.tuples(coord, coord), st.sampled_from(line)), max_size=10))
+    return x, np.concatenate([x, 0.5 * (x[i] + x[j]), np.array(others, dtype=float).reshape(-1, 2)])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(integer_sweeps())
+def test_kernel_matches_integer_oracle(case):
+    # with integer coordinates <= 1000 (half-integer differences <= 2000), two
+    # directions from a query that are not exactly parallel or antipodal differ
+    # by >= 3e-8 rad, far above _GAP_EPS: the sweep's snap must agree with exact
+    # Python-int orientation, which shares no tolerance with it
+    x, queries = case
+    assert _min_halfplane_counts(x, queries).tolist() == [depth_count_exact(x, q) for q in queries]
 
 
 def test_depth_bruteforce_examples():
@@ -535,6 +568,18 @@ def test_tukey_median_centrosymmetric_exact_count():
         x = np.concatenate([h, -h])
         m, dep = tukey_median(Dataset(x))
         assert m.tobytes() == np.zeros(2).tobytes() and dep == depth_count_exact(x, m) / n
+
+
+def test_tukey_median_at_extreme_scales():
+    # the centroid's products are taken on offsets scaled by a power of two:
+    # at 1e300 they overflowed (a NaN median with depth 0.98), at 1e-300 the
+    # thinness test underflowed and returned the vertex mean
+    x = np.random.default_rng(3).standard_normal((50, 2))
+    m, dep = tukey_median(Dataset(x))
+    for scale in (1e300, 1e-300):
+        ms, deps = tukey_median(Dataset(x * scale))
+        assert deps == dep == 0.44
+        assert np.allclose(ms, m * scale, rtol=1e-14, atol=0.0)
 
 
 def test_max_depth_centerpoint_bound():
