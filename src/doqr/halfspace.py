@@ -42,8 +42,8 @@ _CHUNK_BUDGET = 32_768
 # centroids) yield difference vectors that are antipodal/collinear up to
 # rounding; the ideal coincidences reappear as ~1e-16 rad slivers where
 # halfplane membership is float noise.  Snapping below 1e-9 rad restores the
-# ideal-configuration count while leaving genuine configurations (angle gaps
-# >= ~1e-8 rad even at n = 20000 random points) untouched.
+# ideal count, and it over-counts genuine pairs as close to antipodal: a seeded
+# elongated n = 1000 sample has one 9.42e-10 rad off pi (ROADMAP item 1).
 _GAP_EPS = 1e-9
 # Margin of the d = 2 level prefilter's projections, relative to the largest
 # coordinate magnitude M.  Projections err by ~1e-15 M, so a point it leaves out

@@ -35,6 +35,17 @@ _LEVEL_EPS = 1e-12  # slack for comparing a user-given level with attained ones 
 _RANK_CAP = 1.0 - 1e-9
 
 
+def _norm(x: np.ndarray, axis: int | None = None):
+    """``np.linalg.norm(x, axis=axis)``; when the largest magnitude in x lies
+    outside [2**-500, 2**500], where squares can leave the float range, the
+    norm of x scaled by a power of two per result and scaled back (exact, as
+    ``halfspace._centroid`` does)."""
+    if 2.0**-500 <= np.abs(x).max() <= 2.0**500:
+        return np.linalg.norm(x, axis=axis)
+    e = np.frexp(np.abs(x).max(axis=axis, keepdims=True))[1]
+    return np.ldexp(np.linalg.norm(np.ldexp(x, -e), axis=axis, keepdims=True), e).squeeze(axis)
+
+
 class EmptyRegionError(ValueError):
     """No sample point attains the requested depth level."""
 
@@ -112,7 +123,7 @@ def rank_function(ds: Dataset, x) -> RankVector:
         zero = np.zeros(2)
         return RankVector(zero, 0.0, zero.copy())
     diff = x - m
-    v = diff / np.linalg.norm(diff)
+    v = diff / _norm(diff)
     p = min(_weight_at(ds, x), _RANK_CAP)
     return RankVector(p * v, p, v)
 
@@ -123,7 +134,7 @@ def outlyingness(ds: Dataset, x) -> float:
 
 
 def doqr_depth(ds: Dataset, x) -> float:
-    """Depth recovered from outlyingness via 1 / (1 + O); lies in (0, 1]."""
+    """Depth 1 / (1 + O) from the outlyingness O <= 1 - 1e-9: in (0.5, 1]."""
     return 1.0 / (1.0 + outlyingness(ds, x))
 
 
@@ -143,7 +154,7 @@ def quantile_function(ds: Dataset, u) -> np.ndarray:
     """
     _require_dim(ds, 2, "quantile_function")
     u = as_point(u, 2)
-    nu = float(np.linalg.norm(u))
+    nu = float(_norm(u))
     if nu >= 1.0:
         raise ValueError(f"quantile index must satisfy ||u|| < 1, got {nu}")
     m, _ = tukey_median(ds)
@@ -153,7 +164,7 @@ def quantile_function(ds: Dataset, u) -> np.ndarray:
     counts = _self_depths(ds)[1]  # m's weight, no sweep: its count is never below a c_i
     if np.count_nonzero(counts == counts.max()) / ds.n >= nu:  # as when every point is m
         return m.copy()
-    t_max = 2.0 * float(np.max(np.linalg.norm(ds.data - m, axis=1)))
+    t_max = 2.0 * float(np.max(_norm(ds.data - m, axis=1)))
     lo, hi = 0.0, t_max
     while hi - lo > 1e-6 * t_max:
         mid = 0.5 * (lo + hi)

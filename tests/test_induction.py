@@ -52,7 +52,7 @@ def test_convex_hull_basic_and_degenerate():
 def test_points_in_hull_closed_semantics():
     hull = np.array([[0, 0], [2, 0], [2, 2], [0, 2]], float)
     pts = np.array([[1, 1], [0, 0], [2, 1], [2.0000001, 1], [3, 3], [-0.1, 0]])
-    got = points_in_hull(hull, pts, tol=1e-9)
+    got = points_in_hull(hull, pts)
     assert got.tolist() == [True, True, True, False, False, False]
     seg = np.array([[0, 0], [2, 2]], float)
     got = points_in_hull(seg, np.array([[1, 1], [1, 1.1], [3, 3], [0, 0]]))
@@ -263,6 +263,8 @@ def test_doqr_depth_examples():
     m, _ = tukey_median(AXES5)
     assert doqr_depth(AXES5, m) == 1.0
     assert doqr_depth(AXES5, [9.0, 9.0]) == 1.0 / (1.0 + CAP)
+    # the capped outlyingness keeps the value above 1/2 however far the point
+    assert doqr_depth(AXES5, [1e6, 0.0]) == 1.0 / (2.0 - 1e-9) > 0.5
     rng = np.random.default_rng(6)
     ds = Dataset(rng.standard_normal((40, 2)))
     o = np.array([outlyingness(ds, p) for p in ds.data])
@@ -282,6 +284,21 @@ def test_sign_test_examples():
         ds = symmetric_dataset(rng, int(rng.integers(4, 12)))
         _, stat = sign_test(ds, [0.0, 0.0])
         assert stat <= 2 / ds.n
+
+
+@pytest.mark.parametrize("scale", [2.0**996, 2.0**-996])
+def test_rank_and_quantile_at_extreme_scales(scale):
+    # the norms of differences whose squares over- or underflow: the rank's
+    # weight and direction and the quantile (over the scale) are those of the
+    # unit-scale sample, with no RuntimeWarning (an error in Tier-1)
+    x = np.random.default_rng(5).standard_normal((50, 2))
+    ds, big = Dataset(x), Dataset(x * scale)
+    for p in x[:10]:
+        want, got = rank_function(ds, p), rank_function(big, p * scale)
+        assert got.p == want.p and np.abs(got.v - want.v).max() <= 1e-12
+    for u in ([0.3, 0.2], [-0.1, 0.6], [0.0, -0.45]):
+        q = quantile_function(big, u) / scale
+        assert np.abs(q - quantile_function(ds, u)).max() <= 1e-12
 
 
 def test_quantile_zero_index_is_median():

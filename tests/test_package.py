@@ -1,5 +1,7 @@
-"""The package namespace: every exported name, loaded on first use."""
+"""The package namespace: every exported name, loaded on first use; and what
+the test oracles may take from it."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -79,3 +81,16 @@ def test_oracle_command_loads_no_numpy():
         "print('numpy' in sys.modules)"
     )
     assert out == "0.997593480541\nFalse\n"
+
+
+def test_oracles_take_only_mirror_constants_from_halfspace():
+    # tests/oracles.py's truth oracles share nothing with the library: from
+    # doqr.halfspace it imports the config and the constants its declared
+    # mirrors share, and no code there names the kernel or its block size
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.module == "doqr.halfspace" for a in node.names}
+    assert imported == {"DepthConfig", "_BOUND_DIRS", "_BOUND_TOL", "_GAP_EPS"}
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not named & {"_min_halfplane_counts", "_CHUNK_BUDGET"}
