@@ -9,6 +9,7 @@ outputs start with a one-line header naming the columns.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 # Each command imports what it calls when it runs, so that a call pays only
@@ -29,6 +30,18 @@ def _parse_vec(text: str):
         return np.array([float(c) for c in text.split(",")], dtype=float)
     except ValueError:
         raise ValueError(f"cannot parse vector {text!r}; expected comma-separated numbers")
+
+
+def _joined_vectors(argv: list[str]) -> list[str]:
+    """``--query -1,2`` as ``--query=-1,2`` (also ``--u``, ``--theta``): argparse
+    takes a token that starts with '-' and is not one number for an option."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in ("--query", "--u", "--theta") and re.match(r"-[\d.]", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -257,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_joined_vectors(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -25,6 +25,7 @@ import functools
 import os
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,10 +46,13 @@ _CHUNK_BUDGET = 32_768
 # ideal count, and it over-counts genuine pairs as close to antipodal: a seeded
 # elongated n = 1000 sample has one 9.42e-10 rad off pi (ROADMAP item 1).
 _GAP_EPS = 1e-9
-# Margin of the d = 2 level prefilter's projections, relative to the largest
-# coordinate magnitude M.  Projections err by ~1e-15 M, so a point it leaves out
-# lies >= 1e-7 M / |x - c| >= 3.5e-8 rad (|x - c| <= 2*sqrt(2) M) inside an
-# open halfplane: all such points fit in one sweep semicircle (pi - _GAP_EPS).
+# Margin of the d = 2 projection bounds on the count at a point c (a sample point
+# for the level prefilter, a probe m + t v for the quantile's bisection), relative
+# to a bound M on the coordinate magnitudes of the sample and of c.  Projections,
+# the centring and a probe's m + t v err by ~1e-15 M, so a point a bound leaves
+# out lies >= 1e-7 M / |x - c| >= 3.5e-8 rad (|x - c| <= 2*sqrt(2) M) inside an
+# open halfplane through c: all such points fit in one sweep semicircle
+# (pi - _GAP_EPS), so the swept count is at most the bound's.
 _BOUND_TOL = 1e-7
 
 # 32 evenly spaced directions for the level prefilter and the median's slabs,
@@ -374,8 +378,9 @@ def _land(pts: np.ndarray, x: np.ndarray, k: int, known: list) -> tuple[np.ndarr
     return next((p, int(c)) for p, c in [*swept, *known] if c >= k)
 
 
-def _levels(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Sample counts, and a deepest point with its count, from one self-depth pass.
+def _levels(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, tuple[np.ndarray, np.ndarray]]:
+    """Sample counts, a deepest point with its count, and the sample mean with the
+    sorted projections of the points less it on _BOUND_DIRS[:8], from one pass.
 
     D_k = {x : count >= k} is the intersection of the closed halfplanes right of
     the lines (pivot, angle) with semicircle count S <= k <= S + m0 - 1 (S - 1
@@ -421,18 +426,45 @@ def _levels(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     x, cx = region(lo)
     deep = np.flatnonzero(counts == lo) if cx < lo else ()  # else x, counting lo, ends the list
     deep = sorted(deep, key=lambda i: np.abs(pts[i] - x).max())  # ties in row order
-    return counts, *_land(pts, x, max(cx, lo), [(x, cx), *((pts[i], lo) for i in deep), (x0, c0)])
+    median, count = _land(pts, x, max(cx, lo), [(x, cx), *((pts[i], lo) for i in deep), (x0, c0)])
+    return counts, median, count, (mid, proj[:, :8].copy())
+
+
+def _norm(x: np.ndarray, axis: int | None = None):
+    """``np.linalg.norm(x, axis=axis)``; when the largest magnitude in x lies
+    outside [2**-500, 2**500], where squares can leave the float range, the
+    norm of x scaled by a power of two per result and scaled back (exact, as
+    ``_centroid`` does)."""
+    if 2.0**-500 <= np.abs(x).max() <= 2.0**500:
+        return np.linalg.norm(x, axis=axis)
+    e = np.frexp(np.abs(x).max(axis=axis, keepdims=True))[1]
+    return np.ldexp(np.linalg.norm(np.ldexp(x, -e), axis=axis, keepdims=True), e).squeeze(axis)
+
+
+class _SelfDepths(NamedTuple):
+    """A dataset's cached self-depth pass; the arrays are read-only."""
+
+    depths: np.ndarray  # c_i / n
+    counts: np.ndarray  # the sample counts c_i
+    median: tuple[float, float]
+    count: int  # the median's count, >= every c_i
+    weights: np.ndarray  # #{i : c_i >= c} / n for c = 0..max c_i
+    centre: np.ndarray  # the origin of ``proj``: the sample mean
+    proj: np.ndarray  # (n, 8) sorted projections on _BOUND_DIRS[:8] (pi/8 apart)
+    ray: float  # 2 * max ||x_i - median||, the quantile's search length
 
 
 @functools.lru_cache(maxsize=64)
-def _self_depths(ds: Dataset) -> tuple[np.ndarray, np.ndarray, tuple[float, float], int]:
-    """Read-only sample depths and their integer counts, and the Tukey median with
-    its count, from the one self-depth pass of ``_levels``: the per-dataset cache."""
-    counts, (px, py), count = _levels(ds.data)
-    depths = counts / ds.n
-    depths.setflags(write=False)
-    counts.setflags(write=False)
-    return depths, counts, (float(px), float(py)), count
+def _self_depths(ds: Dataset) -> _SelfDepths:
+    """The per-dataset cache, from the one self-depth pass of ``_levels``."""
+    counts, median, count, (centre, proj) = _levels(ds.data)
+    weights = np.cumsum(np.bincount(counts)[::-1])[::-1] / ds.n
+    ray = 2.0 * float(np.max(_norm(ds.data - median, axis=1)))
+    cached = _SelfDepths(counts / ds.n, counts, (float(median[0]), float(median[1])), count,
+                         weights, centre, proj, ray)
+    for a in (cached.depths, counts, weights, centre, proj):
+        a.setflags(write=False)
+    return cached
 
 
 def tukey_median(ds: Dataset) -> tuple[np.ndarray, float]:
@@ -448,8 +480,8 @@ def tukey_median(ds: Dataset) -> tuple[np.ndarray, float]:
     extreme points' midpoint.  The depth is the swept count at the point.
     """
     _require_dim(ds, 2, "tukey_median")
-    _, _, pt, cnt = _self_depths(ds)
-    return np.array(pt), cnt / ds.n
+    cached = _self_depths(ds)
+    return np.array(cached.median), cached.count / ds.n
 
 
 def max_depth(ds: Dataset) -> float:
@@ -460,4 +492,4 @@ def max_depth(ds: Dataset) -> float:
 def sample_depths(ds: Dataset) -> np.ndarray:
     """Exact depth of every sample point w.r.t. the full sample (cached, d=2)."""
     _require_dim(ds, 2, "sample_depths")
-    return _self_depths(ds)[0]
+    return _self_depths(ds).depths

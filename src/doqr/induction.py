@@ -24,7 +24,11 @@ import numpy as np
 
 from .data import Dataset, as_point
 from .halfspace import (
+    _BOUND_DIRS,
+    _BOUND_TOL,
+    _SelfDepths,
     _min_halfplane_counts,
+    _norm,
     _require_dim,
     _self_depths,
     convex_hull,
@@ -33,17 +37,6 @@ from .halfspace import (
 
 _LEVEL_EPS = 1e-12  # slack for comparing a user-given level with attained ones (spacing 1/n)
 _RANK_CAP = 1.0 - 1e-9
-
-
-def _norm(x: np.ndarray, axis: int | None = None):
-    """``np.linalg.norm(x, axis=axis)``; when the largest magnitude in x lies
-    outside [2**-500, 2**500], where squares can leave the float range, the
-    norm of x scaled by a power of two per result and scaled back (exact, as
-    ``halfspace._centroid`` does)."""
-    if 2.0**-500 <= np.abs(x).max() <= 2.0**500:
-        return np.linalg.norm(x, axis=axis)
-    e = np.frexp(np.abs(x).max(axis=axis, keepdims=True))[1]
-    return np.ldexp(np.linalg.norm(np.ldexp(x, -e), axis=axis, keepdims=True), e).squeeze(axis)
 
 
 class EmptyRegionError(ValueError):
@@ -83,7 +76,7 @@ def _level_count(alpha: float, n: int) -> int:
 
 def _members(ds: Dataset, alpha: float) -> np.ndarray:
     """Mask of the sample points with depth >= alpha, a user-given level."""
-    mask = _self_depths(ds)[1] >= _level_count(alpha, ds.n)
+    mask = _self_depths(ds).counts >= _level_count(alpha, ds.n)
     if not mask.any():
         raise EmptyRegionError(f"no sample point has depth >= {alpha}")
     return mask
@@ -98,7 +91,7 @@ def central_region(ds: Dataset, alpha: float) -> CentralRegion:
     """
     _require_dim(ds, 2, "central_region")
     alpha = float(alpha)
-    top = _self_depths(ds)[3]  # the Tukey median's count
+    top = _self_depths(ds).count  # the Tukey median's count
     if not (0.0 < alpha and top >= _level_count(alpha, ds.n)):
         raise ValueError(f"level must lie in (0, max_depth={top / ds.n}], got {alpha}")
     members = _members(ds, alpha)
@@ -109,9 +102,24 @@ def _weight_at(ds: Dataset, y: np.ndarray) -> float:
     """Weight of the region at y's count, #{i : c_i >= min(c, c_max)} / n with
     c = count(y) and c_max the largest sample count: 1 outside every region, the
     deepest sample region's weight where no c_i reaches c."""
-    counts = _self_depths(ds)[1]
-    c = int(_min_halfplane_counts(ds.data, y[None, :])[0])
-    return np.count_nonzero(counts >= min(c, counts.max())) / ds.n
+    w = _self_depths(ds).weights
+    return float(w[min(int(_min_halfplane_counts(ds.data, y[None, :])[0]), len(w) - 1)])
+
+
+def _reach(cached: _SelfDepths, m: np.ndarray, v: np.ndarray, k: int) -> float:
+    """A length past which the points m + t v (t up to the cached ray) count at
+    most k, inf when k < 0: there a closed halfplane through the point, facing
+    the ray on one of the signed _BOUND_DIRS[:8], holds at most k sample points,
+    each moved toward it by the _BOUND_TOL margin at the scale |m| + ray, which
+    bounds the sample's and the probes' coordinates."""
+    if k < 0:
+        return np.inf
+    u = np.concatenate([_BOUND_DIRS[:8], -_BOUND_DIRS[:8]])
+    a, b = u @ (m - cached.centre), u @ v
+    edge = np.r_[cached.proj[-1 - k], -cached.proj[k]]  # the (k + 1)-th largest on u
+    tol = _BOUND_TOL * (np.abs(m).max() + cached.ray)
+    facing = b >= 0.5
+    return float(((edge + tol - a)[facing] / b[facing]).min())
 
 
 def rank_function(ds: Dataset, x) -> RankVector:
@@ -161,13 +169,22 @@ def quantile_function(ds: Dataset, u) -> np.ndarray:
     if nu == 0.0:
         return m.copy()
     v = u / nu
-    counts = _self_depths(ds)[1]  # m's weight, no sweep: its count is never below a c_i
-    if np.count_nonzero(counts == counts.max()) / ds.n >= nu:  # as when every point is m
+    cached = _self_depths(ds)
+    weights = cached.weights  # m's weight is the last, no sweep: its count is never below a c_i
+    if weights[-1] >= nu:  # as when every point is m
         return m.copy()
-    t_max = 2.0 * float(np.max(_norm(ds.data - m, axis=1)))
+    # the probe counts 0..k, whose weights send the search below the probe without
+    # returning (by the loop's own tests; a prefix, as the weights fall with the count)
+    k = int(((weights >= nu) & (np.abs(weights - nu) > 1.0 / ds.n)).argmin()) - 1
+    t_max, reach = cached.ray, _reach(cached, m, v, k)
     lo, hi = 0.0, t_max
     while hi - lo > 1e-6 * t_max:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # a subnormal ray, whose 1e-6 * t_max is below its spacing
+            break
+        if mid > reach:  # the probe counts <= k: its sweep would set hi = mid
+            hi = mid
+            continue
         w = _weight_at(ds, m + mid * v)
         if abs(w - nu) <= 1.0 / ds.n:
             return m + mid * v

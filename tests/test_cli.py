@@ -211,6 +211,25 @@ def test_masking_config_type_errors_exit_1(capsys, tmp_path, key, value):
     assert err.startswith(f"error: {cfg_path}: ") and key in err, err
 
 
+P12_CSV = "0,0\n4,1\n1,5\n-3,2\n-2,-4\n3,-3\n5,4\n-5,-1\n2,2\n-1,1\n1,-2\n6,-1\n"
+
+
+@pytest.mark.parametrize("argv, want", [
+    (("rank", "--query", "-1,2"), "-0.311984670714,0.276182324471\n"),
+    (("quantile", "--u", "-0.3,0.6"), "-0.322601458282,2.66934564131\n"),
+    (("signtest", "--theta", "-1,2"), "u1,u2,statistic\n-0.311984670714,0.276182324471,0.416666666667\n"),
+])
+def test_vector_with_negative_first_coordinate(capsys, tmp_path, argv, want):
+    # "-1,2" starts like an option, which argparse alone rejects (exit 2);
+    # it reads as the "--query=-1,2" form
+    p = tmp_path / "p12.csv"
+    p.write_text(P12_CSV)
+    command, flag, value = argv
+    code, out, _ = run(capsys, command, "--in", str(p), flag, value)
+    joined = run(capsys, command, "--in", str(p), f"{flag}={value}")
+    assert (code, out) == joined[:2] == (0, want)
+
+
 def test_usage_error_exit_2(axes4_file):
     with pytest.raises(SystemExit) as exc:
         main(["depth", "--in", axes4_file])  # missing --query

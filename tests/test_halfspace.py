@@ -207,7 +207,7 @@ def test_levels_same_bytes_at_any_block_size(monkeypatch):
             for budget in (None, 2 * n, 6 * n):  # the default, one row, three rows
                 if budget is not None:
                     monkeypatch.setattr(halfspace, "_CHUNK_BUDGET", budget)
-                counts, median, count = halfspace._levels(x)
+                counts, median, count, _ = halfspace._levels(x)
                 runs.append((counts.tobytes(), median.tobytes(), count))
                 monkeypatch.undo()
             assert runs[1] == runs[0] and runs[2] == runs[0], (n, kind)
@@ -633,7 +633,7 @@ def test_tukey_median_region_branch(monkeypatch):
     rng = np.random.default_rng(15)
     ds = Dataset(rng.standard_normal((150, 2)))
     m1, d1 = tukey_median(ds)
-    _, m2, c2 = halfspace._levels(ds.data.copy())  # recomputed, not read from the cache
+    _, m2, c2, _ = halfspace._levels(ds.data.copy())  # recomputed, not read from the cache
     assert np.array_equal(m1, m2) and d1 == c2 / ds.n
     assert d1 >= np.ceil(ds.n / 3) / ds.n and depth_2d_exact(ds, m1) == d1
 
@@ -889,8 +889,8 @@ def test_levels_same_bytes_under_rolled_clip(monkeypatch):
     got = [halfspace._levels(x) for x in samples]
     monkeypatch.setattr(halfspace, "_clip", clip_rolled)
     monkeypatch.setattr(halfspace, "_centroid", centroid_rolled)
-    for x, (counts, m, k) in zip(samples, got):
-        want_counts, want_m, want_k = halfspace._levels(x)
+    for x, (counts, m, k, _) in zip(samples, got):
+        want_counts, want_m, want_k, _ = halfspace._levels(x)
         assert counts.tobytes() == want_counts.tobytes(), x
         assert m.tobytes() == want_m.tobytes() and k == want_k, x
 
@@ -900,7 +900,7 @@ def test_region_levels_match_exact_max_count(exact_tops):
     # duplicate-heavy ones included: the sample counts are the pointwise sweep's,
     # the count is the exact maximum and is swept at the returned point
     for x, top in exact_tops:
-        sample, m, k = halfspace._levels(x)
+        sample, m, k, _ = halfspace._levels(x)
         assert np.array_equal(sample, _min_halfplane_counts(x, x))
         assert k == top == _min_halfplane_counts(x, m[None, :])[0]
 

@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,8 @@ from doqr import (
     trimmed_mean,
     tukey_median,
 )
-from doqr.halfspace import _members_at_least
+from doqr import induction
+from doqr.halfspace import _members_at_least, _min_halfplane_counts, _norm, _self_depths
 from oracles import depth_count_exact, points_in_hull
 
 AXES4 = Dataset([[1, 0], [-1, 0], [0, 1], [0, -1]])
@@ -301,6 +304,31 @@ def test_rank_and_quantile_at_extreme_scales(scale):
         assert np.abs(q - quantile_function(ds, u)).max() <= 1e-12
 
 
+def test_quantile_returns_on_subnormal_data():
+    # at data scale 2**-1060 the bracket's width 1e-6 * t_max underflows below
+    # the spacing of subnormals, where the midpoint stops moving: the search
+    # must still end, with a point on the ray within the data's reach
+    x = np.random.default_rng(3).standard_normal((120, 2)) * 2.0**-1060
+    ds = Dataset(x)
+    m, _ = tukey_median(ds)
+
+    def stop(*args):
+        raise TimeoutError("quantile_function did not return")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(10)
+    try:
+        got = [quantile_function(ds, u) for u in ([0.3, 0.1], [-0.5, 0.5], [0.0, -0.9])]
+    except TimeoutError:
+        got = None
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert got is not None, "quantile_function did not return"
+    reach = 2.0 * np.abs(x - m).max(axis=0).sum()
+    assert all(np.abs(y - m).sum() <= reach for y in got)
+
+
 def test_quantile_zero_index_is_median():
     rng = np.random.default_rng(3)
     ds = Dataset(rng.standard_normal((35, 2)))
@@ -353,6 +381,128 @@ def test_quantile_normal_radius_20k(normal20k):
     m, _ = tukey_median(normal20k)
     q = quantile_function(normal20k, [0.5, 0.0])
     assert abs(np.linalg.norm(q - m) - 1.17741) <= 0.1
+
+
+def bench_shapes(rng: np.random.Generator, n: int) -> list[np.ndarray]:
+    """Normal, elongated (x [4, 0.25], rotated), t_3 and two-cluster samples."""
+    a = rng.uniform(0.0, np.pi)
+    rot = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+    half = n // 2
+    return [rng.standard_normal((n, 2)),
+            (rng.standard_normal((n, 2)) * [4.0, 0.25]) @ rot.T,
+            rng.standard_t(3.0, (n, 2)),
+            np.concatenate([rng.standard_normal((half, 2)), rng.standard_normal((n - half, 2)) + [4.0, 1.5]])]
+
+
+def quantile_reference(ds: Dataset, counts: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, float]:
+    """The bisection with every probe swept, each probe's weight counted from the
+    sample counts, and the rank weight p at the point it returns."""
+    n, top = ds.n, counts.max()
+
+    def weight(y):
+        c = int(_min_halfplane_counts(ds.data, y[None, :])[0])
+        return np.count_nonzero(counts >= min(c, top)) / n
+
+    def point():
+        nu = float(_norm(u))
+        m, _ = tukey_median(ds)
+        if nu == 0.0 or np.count_nonzero(counts == top) / n >= nu:
+            return m.copy()
+        v = u / nu
+        t_max = 2.0 * float(np.max(_norm(ds.data - m, axis=1)))
+        lo, hi = 0.0, t_max
+        while hi - lo > 1e-6 * t_max:
+            mid = 0.5 * (lo + hi)
+            w = weight(m + mid * v)
+            if abs(w - nu) <= 1.0 / n:
+                return m + mid * v
+            if w >= nu:
+                hi = mid
+            else:
+                lo = mid
+        return m + 0.5 * (lo + hi) * v
+
+    y = point()
+    return y, weight(y)
+
+
+def test_quantile_same_bytes_as_sweeping_every_probe():
+    # the probes that the halfplane bound settles unswept take the branch their
+    # sweep takes: same quantile bytes, same rank weight there, at every kind of
+    # sample and at norms on, just off and between the attained weights k / n
+    rng = np.random.default_rng(27)
+    n = 200
+    samples = bench_shapes(rng, n)
+    x, t = samples[0], rng.standard_normal(n)
+    samples += [np.round(x, 1), np.concatenate([x[: n // 2], x[: n // 2]]), np.stack([t, 0.5 * t + 0.3], axis=1),
+                x + 1e6, x * 2.0**996, x * 2.0**-996] + [rng.standard_normal((k, 2)) for k in (1, 2, 3)]
+    directions = np.stack([np.cos(np.pi / 4 * np.arange(8)), np.sin(np.pi / 4 * np.arange(8))], axis=1)
+    for x in samples:
+        ds, counts = Dataset(x), _min_halfplane_counts(x, x)
+        levels = [k / ds.n for k in range(1, ds.n, 37)]
+        norms = [np.nextafter(r, 0.0) for r in levels] + levels + [np.nextafter(r, 1.0) for r in levels]
+        for r in norms + [0.05, 0.31, 0.5, 0.77, 0.99]:
+            for d in directions:
+                u = r * d
+                y, p = quantile_reference(ds, counts, u)
+                got = quantile_function(ds, u)
+                assert got.tobytes() == y.tobytes(), (len(x), r, d)
+                if not np.array_equal(y, tukey_median(ds)[0]):
+                    assert rank_function(ds, got).p == min(p, CAP), (len(x), r, d)
+
+
+def test_quantile_sweep_count(monkeypatch):
+    # the probes the halfplane bound settles are not swept: 24 queries on an
+    # n = 200 normal sample sweep 202 probes (285 with every probe swept)
+    rng = np.random.default_rng(31)
+    ds = Dataset(rng.standard_normal((200, 2)))
+    tukey_median(ds)  # the self-depth pass, cached
+    swept = []
+
+    def counting(data, queries, window=None):
+        swept.append(len(queries))
+        return _min_halfplane_counts(data, queries, window)
+
+    monkeypatch.setattr(induction, "_min_halfplane_counts", counting)
+    ang = rng.uniform(0.0, 2.0 * np.pi, 24)
+    for r, a in zip(rng.uniform(0.05, 0.95, 24), ang):
+        quantile_function(ds, [r * np.cos(a), r * np.sin(a)])
+    assert sum(swept) == 202
+
+
+@st.composite
+def integer_rays(draw):
+    """An integer-valued sample (|coordinates| <= 1000) with a collinear run and
+    duplicates, and integer ray directions, the axes and diagonals among them."""
+    coord, step = st.integers(-1000, 1000), st.integers(-9, 9)
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=25))
+    (a0, a1), (b0, b1) = draw(st.tuples(coord, coord)), draw(st.tuples(step, step))
+    line = [(a0 + t * b0, a1 + t * b1) for t in range(-12, 13)]
+    pts += draw(st.lists(st.sampled_from(line), max_size=12))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=8))
+    axes = st.sampled_from([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, 1), (1, -1), (-1, -1)])
+    rays = draw(st.lists(st.one_of(axes, st.tuples(step, step)).filter(any), min_size=1, max_size=4))
+    return np.array(draw(st.permutations(pts)), dtype=float), np.array(rays, dtype=float)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(integer_rays())
+def test_quantile_reach_bounds_the_swept_count(case):
+    # every point of the ray at or past the reach of level k, which the
+    # bisection settles unswept, sweeps to at most k: on rays from the median,
+    # at every level below the largest sample count
+    x, rays = case
+    ds = Dataset(x)
+    m, _ = tukey_median(ds)
+    cached = _self_depths(ds)
+    if cached.ray == 0.0:  # every point is m: the quantile returns m unswept
+        return
+    for v in rays / np.linalg.norm(rays, axis=1, keepdims=True):
+        for k in range(cached.counts.max()):  # the levels the bisection can settle
+            reach = induction._reach(cached, m, v, k)
+            t = reach * np.array([1.0, 1.0 + 1e-12, 1.01, 1.5, 3.0])
+            counts = _min_halfplane_counts(x, m + t[:, None] * v)
+            assert reach > 0.0 and counts.max() <= k, (v, k, reach, counts)
 
 
 def test_trimmed_mean_examples():
